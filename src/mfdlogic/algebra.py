@@ -19,6 +19,7 @@ into a residuated lattice of downsets; both power the countermodel search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -635,32 +636,44 @@ def enumerate_pomonoids(max_size: int, size_cap: int = ENUMERATION_SIZE_CAP) -> 
     all lexicographic.  One representative per isomorphism class; the dedup
     is exact at these sizes (canonical order matrix plus minimization of the
     table under order automorphisms).
+
+    Each carrier size is enumerated once per process and then replayed, so
+    the yielded algebras are shared, process-wide objects: every call
+    returns the same instances.  They must not be mutated.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     if max_size > size_cap:
         raise ValueError(f"max_size {max_size} exceeds enumeration cap {size_cap}")
     for n in range(1, max_size + 1):
-        names = tuple(f"e{i}" for i in range(n))
-        for leq in _posets_with_top(n):
-            unit = next(
-                j for j in range(n) if all(leq[i][j] for i in range(n))
-            )
-            autos = [p for p in _order_automorphisms(leq) if p != tuple(range(n))]
-            seen_tables = set()
-            for times in _fill_times_tables(leq, unit):
-                canon = tuple(v for row in times for v in row)
-                for perm in autos:
-                    inv = _inverse_perm(perm)
-                    relabeled = tuple(
-                        inv[times[perm[i]][perm[j]]] for i in range(n) for j in range(n)
-                    )
-                    if relabeled < canon:
-                        canon = relabeled
-                if canon in seen_tables:
-                    continue
-                seen_tables.add(canon)
-                yield FinitePomonoid(names, unit, leq, times)
+        yield from _pomonoids_of_size(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _pomonoids_of_size(n: int) -> Tuple[FinitePomonoid, ...]:
+    """All pomonoids of carrier size n, in enumeration order (memoized)."""
+    out = []
+    names = tuple(f"e{i}" for i in range(n))
+    for leq in _posets_with_top(n):
+        unit = next(
+            j for j in range(n) if all(leq[i][j] for i in range(n))
+        )
+        autos = [p for p in _order_automorphisms(leq) if p != tuple(range(n))]
+        seen_tables = set()
+        for times in _fill_times_tables(leq, unit):
+            canon = tuple(v for row in times for v in row)
+            for perm in autos:
+                inv = _inverse_perm(perm)
+                relabeled = tuple(
+                    inv[times[perm[i]][perm[j]]] for i in range(n) for j in range(n)
+                )
+                if relabeled < canon:
+                    canon = relabeled
+            if canon in seen_tables:
+                continue
+            seen_tables.add(canon)
+            out.append(FinitePomonoid(names, unit, leq, times))
+    return tuple(out)
 
 
 def _inverse_perm(perm: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -147,7 +147,8 @@ def _walk_back(
     steps = []
     cur = end
     while parents[cur] is not None:
-        prev, rule = parents[cur]
+        rule, delta = parents[cur]
+        prev = tuple(c - d for c, d in zip(cur, delta))
         remainder = divides(rule.antecedent, unvec(prev))
         steps.append(RewriteStep(rule, remainder, unvec(cur)))
         cur = prev
@@ -183,11 +184,14 @@ def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
 
     start_v = vec(start)
     goal_v = vec(goal)
+    # Each node's parent entry is its rule's shared (rule, delta) pair; the
+    # predecessor is recovered as node - delta when walking back.
     compiled = []
     for f in rules:
         ant = vec(f.antecedent)
         con = vec(f.consequent)
-        compiled.append((f, ant, tuple(c - a for a, c in zip(ant, con))))
+        delta = tuple(c - a for a, c in zip(ant, con))
+        compiled.append((ant, delta, (f, delta)))
 
     parents: dict = {start_v: None}
     nodes = 1
@@ -198,7 +202,7 @@ def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
     while frontier:
         next_frontier = []
         for w in frontier:
-            for f, ant, delta in compiled:
+            for ant, delta, entry in compiled:
                 if any(a > c for a, c in zip(ant, w)):
                     continue
                 nxt = tuple(c + d for c, d in zip(w, delta))
@@ -207,7 +211,7 @@ def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
                 if nodes >= budget:
                     yield ("budget", nodes)
                     return
-                parents[nxt] = (w, f)
+                parents[nxt] = entry
                 nodes += 1
                 if all(g <= c for g, c in zip(goal_v, nxt)):
                     yield ("proved", _walk_back(start, nxt, parents, names))

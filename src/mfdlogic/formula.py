@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 __all__ = [
@@ -366,7 +367,15 @@ def _parse_side(text: str, line_no: int, col_offset: int) -> AttributeMultiset:
         if not _IDENT_RE.match(tok):
             raise TheoryParseError(f"invalid attribute name {tok!r}", line_no, col)
         counts[tok] = counts.get(tok, 0) + 1
-    return AttributeMultiset(counts)
+    return _shared_side(tuple(sorted(counts.items())), MULTIPLICITY_CAP)
+
+
+@lru_cache(maxsize=4096)
+def _shared_side(pairs: Tuple[Tuple[str, int], ...], cap: int) -> AttributeMultiset:
+    # Parsed sides repeat heavily across theories and queries, and multisets
+    # are immutable, so equal sides share one object.  The cap is part of
+    # the key so that a reassigned MULTIPLICITY_CAP is still enforced.
+    return AttributeMultiset(pairs)
 
 
 def _parse_line(line: str, line_no: int) -> Mfd:

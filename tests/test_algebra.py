@@ -32,6 +32,7 @@ from mfdlogic import (
     validate,
     validate_unit_interval,
 )
+from mfdlogic.algebra import _pomonoids_of_size
 
 
 @pytest.fixture
@@ -308,6 +309,27 @@ class TestEnumeration:
         second = [(a.element_names, a.unit, a.leq_table, a.times_table)
                   for a in enumerate_pomonoids(3)]
         assert first == second
+
+    def test_memo_matches_fresh_generation(self):
+        # the per-size memo replays exactly what an uncached run generates
+        fresh = _pomonoids_of_size.__wrapped__
+        tables = lambda algebras: [
+            (a.element_names, a.unit, a.leq_table, a.times_table) for a in algebras
+        ]
+        streamed = list(enumerate_pomonoids(5))
+        expected = []
+        counts = {}
+        for n in range(1, 6):
+            generated = fresh(n)
+            counts[n] = len(generated)
+            expected.extend(generated)
+        assert counts == {1: 1, 2: 1, 3: 2, 4: 9, 5: 60}
+        assert tables(streamed) == tables(expected)
+
+    def test_algebras_are_shared_across_calls(self):
+        first = list(enumerate_pomonoids(4))
+        second = list(enumerate_pomonoids(4))
+        assert all(a is b for a, b in zip(first, second))
 
     def test_sorted_by_size(self, pomonoids_upto_4):
         sizes = [a.size for a in pomonoids_upto_4]

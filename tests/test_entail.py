@@ -282,6 +282,18 @@ class TestDecide:
         assert isinstance(verdict, Refuted)
         assert verdict.algebra.size == 5
 
+    @pytest.mark.parametrize(
+        "budgets,kind",
+        [(Budgets(2_000, 1_000_000, 5), Refuted), (Budgets(2_000, 100_000, 4), Unknown)],
+    )
+    def test_repeated_calls_agree(self, needs_nonlinear, budgets, kind):
+        # the second call replays memoized algebras; nothing may change
+        first = decide(needs_nonlinear, F("p -> q"), budgets)
+        second = decide(needs_nonlinear, F("p -> q"), budgets)
+        assert isinstance(first, kind)
+        # compares the algebra, the evaluation and the budget report
+        assert first == second
+
     def test_verdicts_are_exclusive_and_certified(self, pomonoids_upto_3):
         rng = random.Random(77)
         names = ("a", "b", "c")

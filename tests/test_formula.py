@@ -27,6 +27,7 @@ from mfdlogic import (
     parse_theory,
     singleton,
 )
+from mfdlogic import formula
 
 names = st.sampled_from(("p", "q", "r", "s"))
 multisets = st.dictionaries(names, st.integers(1, 3), max_size=4).map(AttributeMultiset)
@@ -182,6 +183,12 @@ class TestMultiplicityCap:
         with pytest.raises(MultiplicityOverflowError):
             big.power(2)
 
+    def test_reassigned_cap_applies_to_seen_sides(self, monkeypatch):
+        parse_multiset("p p")
+        monkeypatch.setattr(formula, "MULTIPLICITY_CAP", 1)
+        with pytest.raises(MultiplicityOverflowError):
+            parse_multiset("p p")
+
 
 # ============================================================
 # Dependencies, theories, predicates
@@ -334,6 +341,21 @@ class TestParsing:
         assert exc.value.line == line
         assert exc.value.column == column
         assert f"line {line}, column {column}" in str(exc.value)
+
+    def test_equal_sides_are_shared(self):
+        t = parse_theory("b a a -> c\nc -> a b a")
+        assert t.formulas[0].antecedent is t.formulas[1].consequent
+        assert parse_multiset("a   b a") is t.formulas[0].antecedent
+        assert parse_mfd("q -> c").consequent is t.formulas[1].antecedent
+
+    def test_seen_side_with_bad_token_reports_its_position(self):
+        parse_theory("a b -> c")
+        with pytest.raises(TheoryParseError) as exc:
+            parse_theory("x -> y\nc -> a b 9b")
+        assert (exc.value.line, exc.value.column) == (2, 10)
+        with pytest.raises(TheoryParseError) as exc:
+            parse_theory("a _b -> c")
+        assert (exc.value.line, exc.value.column) == (1, 3)
 
     def test_parse_mfd_rejects_blank(self):
         with pytest.raises(TheoryParseError):
