@@ -119,6 +119,12 @@ class FinitePomonoid:
         self.times_table = times
         self._np = None
 
+    def __setattr__(self, name: str, value) -> None:
+        # enumerated algebras are shared; copy and pickle only fill unset slots
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} cannot be reassigned")
+        object.__setattr__(self, name, value)
+
     @property
     def size(self) -> int:
         return len(self.element_names)
@@ -152,10 +158,10 @@ class FinitePomonoid:
         if self._np is None:
             import numpy as np
 
-            self._np = (
+            object.__setattr__(self, "_np", (
                 np.array(self.times_table, dtype=np.int64),
                 np.array(self.leq_table, dtype=bool),
-            )
+            ))
         return self._np
 
     def canonical_form(self) -> Tuple[Tuple[bool, ...], Tuple[int, ...]]:

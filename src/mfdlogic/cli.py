@@ -346,7 +346,6 @@ def _cmd_countermodel(args) -> int:
     query = parse_mfd(args.query)
     found = entail.find_countermodel(theory, query, args.max_size, args.budget_models)
     if found is None:
-        v: entail.Verdict = entail.Unknown(query, entail.BudgetReport())
         if args.json:
             print(json.dumps({"verdict": "unknown", "query": format_mfd(query)}, indent=2))
         else:

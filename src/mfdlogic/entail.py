@@ -261,6 +261,18 @@ def bfs_prove(theory: Theory, query: Mfd, budget: int = 100_000) -> Verdict:
 # =====================================================================
 
 
+def _digits(index, s: int, k: int) -> list:
+    """The k base-s digits of ``index`` (an int or an int array), most
+    significant first.  Digits that are 0 for every index stay the int 0,
+    so no power of s beyond the index is ever formed and any k works."""
+    digits = [0] * k
+    pos = k - 1
+    while pos >= 0 and np.any(index):
+        index, digits[pos] = divmod(index, s)
+        pos -= 1
+    return digits
+
+
 def _sweep_algebra(
     algebra: FinitePomonoid,
     formulas: Sequence[Mfd],
@@ -274,17 +286,12 @@ def _sweep_algebra(
     times, leq = algebra.np_tables()
     s = algebra.size
     k = len(variables)
-    total = s**k
-    count = min(total, limit)
-    if count <= 0:
-        return None, 0
-    idx = np.arange(count, dtype=np.int64)
-    columns = {
-        v: (idx // (s ** (k - 1 - pos))) % s for pos, v in enumerate(variables)
-    }
+    count = min(s**k, limit)
+    columns = dict(zip(variables, _digits(np.arange(count, dtype=np.int64), s, k)))
 
-    def degree(ms: AttributeMultiset) -> np.ndarray:
-        acc = np.full(count, algebra.unit, dtype=np.int64)
+    def degree(ms: AttributeMultiset):
+        # a scalar until some factor varies over the swept indices
+        acc = algebra.unit
         for name, mult in ms.items():
             col = columns[name]
             for _ in range(mult):
@@ -301,16 +308,6 @@ def _sweep_algebra(
     if hits.size:
         return int(hits[0]), count
     return None, count
-
-
-def _evaluation_from_index(
-    algebra: FinitePomonoid, variables: Sequence[str], index: int
-) -> Evaluation:
-    s = algebra.size
-    assignment = {}
-    for pos, v in enumerate(variables):
-        assignment[v] = (index // (s ** (len(variables) - 1 - pos))) % s
-    return Evaluation(algebra, assignment)
 
 
 def _countermodel_engine(
@@ -335,7 +332,8 @@ def _countermodel_engine(
         evals_used += swept
         scanned += 1
         if hit is not None:
-            e = _evaluation_from_index(algebra, variables, hit)
+            digits = _digits(hit, algebra.size, len(variables))
+            e = Evaluation(algebra, dict(zip(variables, digits)))
             # independent scalar re-check of the witness
             if not (is_model(e, theory) and not satisfies(e, query)):
                 raise AssertionError("countermodel failed independent validation")
@@ -378,21 +376,16 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
 
     Non-contracting theories get the definitive fast path: the member
     procedure answers yes/no outright, and a yes is upgraded to a full
-    certificate by BFS (re-running with a doubled node budget if needed;
-    reachability is guaranteed).  Otherwise the prover and the refuter run
-    interleaved, one BFS layer against one algebra sweep, first hit wins.
+    certificate by one BFS with 64 times the node budget (its visiting order
+    does not depend on the budget).  Otherwise the prover and the refuter
+    run interleaved, one BFS layer against one algebra sweep, first hit wins.
     """
     if is_non_contracting_theory(theory):
         if member(theory, query):
-            budget = max(budgets.bfs_nodes, 1)
-            for _ in range(7):
-                verdict = bfs_prove(theory, query, budget)
-                if isinstance(verdict, Proved):
-                    return verdict
-                budget *= 2
-            raise RuntimeError(
-                "provable query but certificate search exceeded escalated budgets"
-            )
+            verdict = bfs_prove(theory, query, 64 * max(budgets.bfs_nodes, 1))
+            if isinstance(verdict, Proved):
+                return verdict
+            raise RuntimeError("provable query but certificate search exceeded 64x its budget")
         return Refuted(query, "member-algorithm")
 
     prover = _bfs_engine(theory, query, budgets.bfs_nodes)

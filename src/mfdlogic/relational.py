@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     Algebra,
@@ -30,7 +30,8 @@ from .algebra import (
     UnitIntervalPomonoid,
     algebra_from_json,
     builtin_algebra,
-    elem_power,
+    evaluate,
+    satisfies,
 )
 from .formula import AttributeMultiset, Mfd, Theory
 
@@ -108,9 +109,6 @@ class RankedRelation:
     def __len__(self) -> int:
         return len(self.tuples)
 
-    def value(self, i: int, attr: str):
-        return self.tuples[i][self.scheme.index(attr)]
-
 
 @dataclass(frozen=True)
 class RelationViolation:
@@ -123,12 +121,23 @@ class RelationViolation:
     consequent_degree: object
 
 
-def _check_attrs(rel: RankedRelation, f: Mfd) -> None:
-    outside = (set(f.antecedent.support) | set(f.consequent.support)) - set(rel.scheme)
+def _columns(rel: RankedRelation, attrs: Sequence[str]) -> List[Tuple[str, int]]:
+    """Each attribute with its position in the scheme, in the given order."""
+    outside = set(attrs) - set(rel.scheme)
     if outside:
-        raise SchemeMismatchError(
-            f"formula mentions attributes outside the scheme: {', '.join(sorted(outside))}"
-        )
+        raise SchemeMismatchError(f"attributes outside the scheme: {', '.join(sorted(outside))}")
+    return [(attr, rel.scheme.index(attr)) for attr in attrs]
+
+
+def _pair_evaluation(
+    rel: RankedRelation, i: int, j: int, columns: List[Tuple[str, int]], e: Evaluation
+) -> Evaluation:
+    """Fill ``e`` with the evaluation that rows i and j induce on the given
+    columns: each attribute gets the similarity of its two values."""
+    row_i, row_j = rel.tuples[i], rel.tuples[j]
+    for attr, pos in columns:
+        e.assignment[attr] = rel.similarity.degree(attr, row_i[pos], row_j[pos])
+    return e
 
 
 def tuple_similarity(rel: RankedRelation, i: int, j: int, m: AttributeMultiset):
@@ -137,14 +146,8 @@ def tuple_similarity(rel: RankedRelation, i: int, j: int, m: AttributeMultiset):
     The product of per-attribute similarities, each raised to its
     multiplicity; the empty multiset gives the unit.
     """
-    algebra = rel.similarity.algebra
-    acc = algebra.unit
-    for attr, mult in m.items():
-        if attr not in rel.scheme:
-            raise SchemeMismatchError(f"attribute {attr!r} not in scheme")
-        d = rel.similarity.degree(attr, rel.value(i, attr), rel.value(j, attr))
-        acc = algebra.times(acc, elem_power(algebra, d, mult))
-    return acc
+    e = Evaluation(rel.similarity.algebra)
+    return evaluate(_pair_evaluation(rel, i, j, _columns(rel, m.support), e), m)
 
 
 def satisfies_relation(
@@ -155,14 +158,14 @@ def satisfies_relation(
     Returns (True, None) or (False, first violation in row-major order)
     with both aggregated degrees.
     """
-    _check_attrs(rel, f)
-    algebra = rel.similarity.algebra
+    columns = _columns(rel, sorted(f.variables))
+    e = Evaluation(rel.similarity.algebra)
     n = len(rel.tuples)
     for i in range(n):
         for j in range(n):
-            da = tuple_similarity(rel, i, j, f.antecedent)
-            db = tuple_similarity(rel, i, j, f.consequent)
-            if not algebra.leq_holds(da, db):
+            _pair_evaluation(rel, i, j, columns, e)
+            if not satisfies(e, f):
+                da, db = evaluate(e, f.antecedent), evaluate(e, f.consequent)
                 return False, RelationViolation(f, i, j, da, db)
     return True, None
 
@@ -218,15 +221,13 @@ def relation_to_evaluations(rel: RankedRelation) -> List[Evaluation]:
     evaluation.
     """
     algebra = rel.similarity.algebra
-    out = []
-    for i in range(len(rel.tuples)):
-        for j in range(len(rel.tuples)):
-            assignment = {
-                attr: rel.similarity.degree(attr, rel.value(i, attr), rel.value(j, attr))
-                for attr in rel.scheme
-            }
-            out.append(Evaluation(algebra, assignment))
-    return out
+    columns = _columns(rel, rel.scheme)
+    n = len(rel.tuples)
+    return [
+        _pair_evaluation(rel, i, j, columns, Evaluation(algebra))
+        for i in range(n)
+        for j in range(n)
+    ]
 
 
 # =====================================================================
@@ -256,7 +257,7 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
                 dist = abs(a - b)
             else:
                 if len(a) != len(b):
-                    raise ValueError(f"vector length mismatch: {a!r} vs {b!r}")
+                    raise InvalidRelationError(f"vector length mismatch: {a!r} vs {b!r}")
                 dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
             return math.exp(-scale * dist)
 
@@ -298,7 +299,7 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
                 return grid[pos[a]][pos[b]]
             except KeyError:
                 missing = a if a not in pos else b
-                raise ValueError(f"value {missing!r} not covered by similarity table") from None
+                raise InvalidRelationError(f"value {missing!r} not in the similarity table") from None
 
         return table_fn
 

@@ -1,8 +1,10 @@
 """Degree algebras: axioms, evaluation, enumeration, and completion."""
 
+import copy
 import itertools
 import json
 import math
+import pickle
 
 import pytest
 
@@ -126,6 +128,27 @@ class TestFinitePomonoid:
             FinitePomonoid(("a", "b"), 1, ((True, True),), ((0, 0), (0, 1)))
         with pytest.raises(ValueError):
             FinitePomonoid(("a", "b"), 1, ((True, True), (False, True)), ((0, 9), (0, 1)))
+
+    def test_set_slots_cannot_be_rebound(self):
+        before = list(enumerate_pomonoids(3))
+        shared = before[2]
+        for name, value in (("unit", 0), ("times_table", ()), ("_np", None), ("size", 1)):
+            with pytest.raises(AttributeError):
+                setattr(shared, name, value)
+        assert list(enumerate_pomonoids(3)) == before
+
+    def test_copies_and_pickles_round_trip(self, nonlinear_algebra):
+        lattice, _ = downset_completion(nonlinear_algebra)
+        for algebra in (nonlinear_algebra, lattice):
+            algebra.np_tables()
+            for twin in (
+                copy.copy(algebra),
+                copy.deepcopy(algebra),
+                pickle.loads(pickle.dumps(algebra)),
+            ):
+                assert twin == algebra and twin is not algebra
+                assert twin.np_tables()[0].tolist() == [list(r) for r in algebra.times_table]
+        assert copy.deepcopy(lattice).bottom == lattice.bottom
 
     def test_describe_mentions_everything(self, nonlinear_algebra):
         text = nonlinear_algebra.describe()

@@ -439,6 +439,27 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "similarity,tuples",
+        [
+            ({"kind": "table", "labels": ["u", "v"], "values": [[1, 0.5], [0.5, 1]]},
+             [["u"], ["w"]]),
+            ({"kind": "exp_euclidean", "c": 1}, [[[1, 2]], [[1, 2, 3]]]),
+        ],
+    )
+    def test_values_the_similarity_cannot_compare(self, run, tmp_path, similarity, tuples):
+        # exit code 1 would read as a violation
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps({
+            "algebra": "product", "scheme": ["a"], "similarity": {"a": similarity},
+            "tuples": tuples,
+        }))
+        theory = tmp_path / "a.theory"
+        theory.write_text("a -> a a\n")
+        code, out, err = run("check", str(rel), str(theory))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
     def test_invalid_algebra_json(self, run, tmp_path):
         bad = tmp_path / "alg.json"
         bad.write_text(json.dumps({"elements": ["a"], "leq": [[True]]}))

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import oracles
@@ -37,6 +38,7 @@ from mfdlogic import (
     rewrite_successors,
     satisfies,
 )
+from mfdlogic.entail import _digits
 
 M = parse_multiset
 F = parse_mfd
@@ -225,6 +227,62 @@ class TestFindCountermodel:
         assert hit is not None
 
 
+class TestDigits:
+    def test_matches_power_formula(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            s, k = rng.randint(1, 6), rng.randint(0, 12)
+            index = rng.randrange(s**k)
+            expected = [(index // s ** (k - 1 - pos)) % s for pos in range(k)]
+            assert _digits(index, s, k) == expected
+
+    def test_array_columns_match_power_formula(self):
+        rng = random.Random(32)
+        for _ in range(50):
+            s, k = rng.randint(1, 6), rng.randint(0, 12)
+            idx = np.arange(rng.randint(1, min(s**k, 5000)), dtype=np.int64)
+            for pos, col in enumerate(_digits(idx, s, k)):
+                expected = (idx // s ** (k - 1 - pos)) % s
+                # a digit that never varies stays a plain scalar
+                assert np.array_equal(np.broadcast_to(col, idx.shape), expected)
+                assert isinstance(col, np.ndarray) == bool(expected.any())
+
+
+class TestWideTheories:
+    """64 and more attributes: s ** (k - 1) no longer fits in an int64."""
+
+    @staticmethod
+    def wide_theory(width):
+        names = [f"w{k:02d}" for k in range(width)]
+        # the chain sorts last: a budget-truncated sweep varies only the
+        # last variables
+        ring, chain = names[:-6], names[-6:]
+        rules = [f"{a} -> {b}" for a, b in zip(chain, chain[1:])]
+        rules += [
+            f"{ring[k]} {ring[(k + 1) % len(ring)]} -> {ring[(k + 2) % len(ring)]}"
+            for k in range(len(ring))
+        ]
+        return chain, parse_theory("\n".join(rules))
+
+    @pytest.mark.parametrize("width", [64, 80])
+    def test_decide_proves(self, width):
+        chain, theory = self.wide_theory(width)
+        verdict = decide(theory, F(f"{chain[0]} -> {chain[-1]}"), Budgets(model_evals=10_000))
+        assert isinstance(verdict, Proved)
+        assert len(verdict.path) == 5
+
+    @pytest.mark.parametrize("width", [64, 80])
+    def test_decide_and_find_countermodel_refute(self, width):
+        chain, theory = self.wide_theory(width)
+        query = F(f"{chain[-1]} -> {chain[0]}")
+        verdict = decide(theory, query, Budgets(model_evals=10_000))
+        assert isinstance(verdict, Refuted) and verdict.method == "countermodel"
+        assert len(verdict.evaluation.assignment) == width
+        algebra, ev = find_countermodel(theory, query, budget=10_000)
+        assert (algebra, ev) == (verdict.algebra, verdict.evaluation)
+        assert is_model(ev, theory) and not satisfies(ev, query)
+
+
 # ============================================================
 # The combined decision procedure
 # ============================================================
@@ -236,6 +294,13 @@ class TestDecide:
         assert isinstance(verdict, Proved)
         assert len(verdict.path) == 3
         check_proof(verdict.certificate, parse_theory("p -> p p"))
+
+    def test_fast_path_needs_no_budget_escalation(self):
+        theory, query = parse_theory("p -> p p"), F("p -> p p p p")
+        tight = decide(theory, query, Budgets(bfs_nodes=1))
+        assert isinstance(tight, Proved)
+        assert tight == decide(theory, query)
+        assert len(tight.path) == 3
 
     def test_fast_path_refuted(self):
         verdict = decide(parse_theory("p -> p q"), F("p -> r"))

@@ -17,6 +17,7 @@ from mfdlogic import (
     Theory,
     builtin_algebra,
     builtin_similarity,
+    enumerate_pomonoids,
     evaluation_to_relation,
     is_model,
     parse_mfd,
@@ -39,9 +40,10 @@ HOUSING_FD = F("loc area -> price")
 
 def housing_oracle(rel, i, j):
     """Recompute the housing degrees directly from the raw rows."""
-    area_i, area_j = rel.value(i, "area"), rel.value(j, "area")
-    loc_i, loc_j = rel.value(i, "loc"), rel.value(j, "loc")
-    price_i, price_j = rel.value(i, "price"), rel.value(j, "price")
+    row_i, row_j = (dict(zip(rel.scheme, rel.tuples[k])) for k in (i, j))
+    area_i, area_j = row_i["area"], row_j["area"]
+    loc_i, loc_j = row_i["loc"], row_j["loc"]
+    price_i, price_j = row_i["price"], row_j["price"]
     s_area = math.exp(-1e-4 * abs(area_i - area_j))
     s_loc = math.exp(
         -1e-2 * math.sqrt(sum((x - y) ** 2 for x, y in zip(loc_i, loc_j)))
@@ -173,6 +175,69 @@ class TestSatisfiesRelation:
         assert ok2 is True and v2 is None
 
 
+class TestAgainstPairScan:
+    """satisfies_relation against a brute-force tuple_similarity scan, on
+    random table similarities with multiplicities up to 3."""
+
+    @staticmethod
+    def first_violation(rel, f):
+        n = len(rel)
+        for i in range(n):
+            for j in range(n):
+                da = tuple_similarity(rel, i, j, f.antecedent)
+                db = tuple_similarity(rel, i, j, f.consequent)
+                if not rel.similarity.algebra.leq_holds(da, db):
+                    return i, j, da, db
+        return None
+
+    def check(self, rng, algebra, degrees, unit):
+        labels, scheme = ["x", "y", "z"], ("a", "b", "c")
+        functions = {
+            attr: builtin_similarity("table", algebra, {
+                "labels": labels,
+                "values": [[unit if r == c else rng.choice(degrees) for c in labels]
+                           for r in labels],
+            })
+            for attr in scheme
+        }
+        rows = [[rng.choice(labels) for _ in scheme] for _ in range(rng.randint(1, 5))]
+        rel = RankedRelation(scheme, rows, SimilaritySpace(algebra, functions))
+        outcomes = set()
+        for _ in range(15):
+            sides = [
+                " ".join(a for a in scheme for _ in range(rng.randint(0, 3))) or "1"
+                for _ in range(2)
+            ]
+            f = Mfd(parse_multiset(sides[0]), parse_multiset(sides[1]))
+            ok, v = satisfies_relation(rel, f)
+            expected = self.first_violation(rel, f)
+            if expected is None:
+                assert ok and v is None
+            else:
+                assert not ok and v.formula == f
+                assert (v.i, v.j, v.antecedent_degree, v.consequent_degree) == expected
+            outcomes.add(ok)
+        return outcomes
+
+    @pytest.mark.parametrize("kind", ["product", "min", "lukasiewicz"])
+    def test_unit_interval(self, kind):
+        rng = random.Random(f"pairs:{kind}")
+        algebra = builtin_algebra(kind)
+        outcomes = set()
+        for _ in range(30):
+            outcomes |= self.check(rng, algebra, [0.0, 0.25, 0.5, 0.7, 0.9, 1.0], 1.0)
+        assert outcomes == {True, False}
+
+    def test_enumerated_finite(self):
+        rng = random.Random("pairs:finite")
+        outcomes = set()
+        for algebra in enumerate_pomonoids(4):
+            for _ in range(5):
+                names = algebra.element_names
+                outcomes |= self.check(rng, algebra, names, names[algebra.unit])
+        assert outcomes == {True, False}
+
+
 # ============================================================
 # Bridges to evaluations
 # ============================================================
@@ -239,7 +304,7 @@ class TestBuiltinSimilarity:
 
     def test_exp_euclidean_vector_mismatch(self):
         fn = builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": 2})
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidRelationError):
             fn((1.0, 2.0), (1.0, 2.0, 3.0))
 
     def test_exp_euclidean_needs_real_degrees(self):
@@ -271,7 +336,7 @@ class TestBuiltinSimilarity:
         )
         assert fn("red", "red") == nl.unit
         assert fn("red", "blue") == nl.index_of("a")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidRelationError):
             fn("red", "green")
 
     def test_table_must_be_reflexive(self, nonlinear_algebra):
@@ -342,7 +407,7 @@ class TestFileFormat:
         rel = relation_from_json(self.base_doc())
         assert rel.scheme == ("a", "b")
         assert len(rel) == 2
-        assert rel.value(1, "b") == 4
+        assert rel.tuples[1] == (3, 4)
 
     def test_inline_algebra(self, nonlinear_algebra):
         from mfdlogic import algebra_to_json
@@ -385,7 +450,7 @@ class TestFileFormat:
         doc["domains"]["a"] = "vector2"
         doc["tuples"] = [[[1, 2], 5], [[3, 4], 6]]
         rel = relation_from_json(doc)
-        assert rel.value(0, "a") == (1, 2)
+        assert rel.tuples[0][0] == (1, 2)
         doc["tuples"][0][0] = [1, 2, 3]
         with pytest.raises(InvalidRelationError):
             relation_from_json(doc)
