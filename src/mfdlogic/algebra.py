@@ -125,6 +125,9 @@ class FinitePomonoid:
             raise AttributeError(f"{type(self).__name__}.{name} cannot be reassigned")
         object.__setattr__(self, name, value)
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} cannot be deleted")
+
     @property
     def size(self) -> int:
         return len(self.element_names)
@@ -168,24 +171,8 @@ class FinitePomonoid:
         """Relabeling-invariant fingerprint: minimal (leq, times) over all
         permutations.  Two finite pomonoids are isomorphic iff their
         canonical forms are equal."""
-        n = self.size
-        best = None
-        for perm in itertools.permutations(range(n)):
-            leq = tuple(
-                self.leq_table[perm[i]][perm[j]] for i in range(n) for j in range(n)
-            )
-            inv = [0] * n
-            for pos, orig in enumerate(perm):
-                inv[orig] = pos
-            times = tuple(
-                inv[self.times_table[perm[i]][perm[j]]]
-                for i in range(n)
-                for j in range(n)
-            )
-            key = (leq, times)
-            if best is None or key < best:
-                best = key
-        return best
+        leq, autos = _canonical_order(self.leq_table)
+        return leq, min(_relabel(self.times_table, perm) for perm in autos)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinitePomonoid):
@@ -481,26 +468,61 @@ def is_model(e: Evaluation, theory: Theory) -> bool:
 # Exhaustive enumeration of finite integral commutative pomonoids
 # =====================================================================
 #
-# A poset with a greatest element on n points is an arbitrary poset on n-1
-# points with a new top adjoined, so labeled posets are generated by that
-# recursion, canonicalized (minimal flattened order matrix over all
-# relabelings) and sorted.  Multiplication tables are then filled in
-# row-major cell order by backtracking: each entry must sit below both
+# Posets are grown one point at a time from isomorphism-class
+# representatives: every poset on k points is a poset on k-1 points plus a
+# new point with a down-set below it and a disjoint up-set above it, so
+# extending one representative per class of size k-1 in every such way and
+# keeping one canonical matrix (the minimal flattened order matrix over all
+# relabelings) per class gives the classes of size k.  A poset with a
+# greatest element on n points is a poset on n-1 points with a top adjoined;
+# those are canonicalized and sorted.  Multiplication tables are then filled
+# in row-major cell order by backtracking: each entry must sit below both
 # arguments (integrality), respect monotonicity against the cells already
-# chosen, and pass associativity; the unit row is fixed.  Tables isomorphic
-# under an order automorphism are emitted once.
+# chosen, and pass associativity; the unit row is fixed.  The relabelings
+# that reach a canonical matrix are exactly its order automorphisms, and
+# tables related by one of them are emitted once.
 
 
-def _labeled_posets(n: int) -> List[Tuple[Tuple[bool, ...], ...]]:
-    """All labeled posets on 0..n-1 as leq matrices."""
-    posets: List[Tuple[Tuple[bool, ...], ...]] = [()]
+def _canonical_order(
+    leq: Sequence[Sequence[bool]],
+) -> Tuple[Tuple[bool, ...], List[Tuple[int, ...]]]:
+    """Minimal flattened order matrix over all relabelings, and the
+    relabelings (new position i holds old element perm[i]) that reach it."""
+    n = len(leq)
+    best: Optional[Tuple[bool, ...]] = None
+    reaching: List[Tuple[int, ...]] = []
+    for perm in itertools.permutations(range(n)):
+        flat = tuple(leq[perm[i]][perm[j]] for i in range(n) for j in range(n))
+        if best is None or flat < best:
+            best, reaching = flat, [perm]
+        elif flat == best:
+            reaching.append(perm)
+    return best, reaching
+
+
+def _relabel(times: Sequence[Sequence[int]], perm: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Flattened times table after moving old element perm[i] to position i."""
+    n = len(perm)
+    inv = [0] * n
+    for pos, orig in enumerate(perm):
+        inv[orig] = pos
+    return tuple(inv[times[perm[i]][perm[j]]] for i in range(n) for j in range(n))
+
+
+def _matrix(flat: Tuple[bool, ...], n: int) -> Tuple[Tuple[bool, ...], ...]:
+    return tuple(flat[i * n:(i + 1) * n] for i in range(n))
+
+
+def _poset_classes(n: int) -> List[Tuple[Tuple[bool, ...], ...]]:
+    """One canonical leq matrix per isomorphism class of posets on n points."""
+    classes: List[Tuple[Tuple[bool, ...], ...]] = [()]
     for k in range(1, n + 1):
-        grown: List[Tuple[Tuple[bool, ...], ...]] = []
-        for leq in posets:
-            m = k - 1
-            subsets = list(itertools.chain.from_iterable(
-                itertools.combinations(range(m), r) for r in range(m + 1)
-            ))
+        m = k - 1
+        subsets = list(itertools.chain.from_iterable(
+            itertools.combinations(range(m), r) for r in range(m + 1)
+        ))
+        seen = set()
+        for leq in classes:
             down = [s for s in subsets
                     if all(leq[y][x] <= (y in s) for x in s for y in range(m))]
             up = [s for s in subsets
@@ -513,51 +535,23 @@ def _labeled_posets(n: int) -> List[Tuple[Tuple[bool, ...], ...]]:
                     if not all(leq[x][y] for x in d for y in u):
                         continue
                     uset = set(u)
-                    rows = [
-                        tuple(leq[i][j] for j in range(m)) + ((i in dset),)
-                        for i in range(m)
-                    ]
+                    rows = [leq[i] + ((i in dset),) for i in range(m)]
                     rows.append(tuple((j in uset) for j in range(m)) + (True,))
-                    grown.append(tuple(rows))
-        posets = grown
-    return posets
-
-
-def _canonical_leq(leq: Tuple[Tuple[bool, ...], ...]) -> Tuple[Tuple[bool, ...], ...]:
-    n = len(leq)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        mat = tuple(tuple(leq[perm[i]][perm[j]] for j in range(n)) for i in range(n))
-        if best is None or mat < best:
-            best = mat
-    return best
+                    seen.add(_canonical_order(rows)[0])
+        classes = [_matrix(flat, k) for flat in seen]
+    return classes
 
 
 def _posets_with_top(n: int) -> List[Tuple[Tuple[bool, ...], ...]]:
     """Canonical posets of size n having a greatest element, sorted."""
-    if n == 0:
-        return []
-    seen = set()
-    out = []
-    for base in _labeled_posets(n - 1):
-        m = n - 1
-        rows = [tuple(base[i][j] for j in range(m)) + (True,) for i in range(m)]
-        rows.append(tuple(False for _ in range(m)) + (True,))
-        canon = _canonical_leq(tuple(rows))
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    out.sort()
-    return out
-
-
-def _order_automorphisms(leq: Tuple[Tuple[bool, ...], ...]) -> List[Tuple[int, ...]]:
-    n = len(leq)
-    return [
-        perm
-        for perm in itertools.permutations(range(n))
-        if all(leq[perm[i]][perm[j]] == leq[i][j] for i in range(n) for j in range(n))
-    ]
+    m = n - 1
+    seen = {
+        _canonical_order(
+            [row + (True,) for row in base] + [(False,) * m + (True,)]
+        )[0]
+        for base in _poset_classes(m)
+    }
+    return sorted(_matrix(flat, n) for flat in seen)
 
 
 def _fill_times_tables(
@@ -664,29 +658,15 @@ def _pomonoids_of_size(n: int) -> Tuple[FinitePomonoid, ...]:
         unit = next(
             j for j in range(n) if all(leq[i][j] for i in range(n))
         )
-        autos = [p for p in _order_automorphisms(leq) if p != tuple(range(n))]
+        autos = _canonical_order(leq)[1]
         seen_tables = set()
         for times in _fill_times_tables(leq, unit):
-            canon = tuple(v for row in times for v in row)
-            for perm in autos:
-                inv = _inverse_perm(perm)
-                relabeled = tuple(
-                    inv[times[perm[i]][perm[j]]] for i in range(n) for j in range(n)
-                )
-                if relabeled < canon:
-                    canon = relabeled
+            canon = min(_relabel(times, perm) for perm in autos)
             if canon in seen_tables:
                 continue
             seen_tables.add(canon)
             out.append(FinitePomonoid(names, unit, leq, times))
     return tuple(out)
-
-
-def _inverse_perm(perm: Tuple[int, ...]) -> Tuple[int, ...]:
-    inv = [0] * len(perm)
-    for pos, orig in enumerate(perm):
-        inv[orig] = pos
-    return tuple(inv)
 
 
 # =====================================================================

@@ -63,13 +63,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mfd", description="Reasoner for graded functional dependencies")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_max_size(p):
+        cap = alg.ENUMERATION_SIZE_CAP
+        p.add_argument("--max-size", type=int, default=5, metavar="K",
+                       choices=range(1, cap + 1),
+                       help=f"largest algebra size tried, 1..{cap} (default 5)")
+
     def add_budgets(p):
         p.add_argument("--budget-bfs", type=int, default=100_000, metavar="N",
                        help="proof search node limit (default 100000)")
         p.add_argument("--budget-models", type=int, default=1_000_000, metavar="N",
                        help="countermodel evaluation limit (default 1000000)")
-        p.add_argument("--max-size", type=int, default=5, metavar="K",
-                       help="largest algebra size tried (default 5)")
+        add_max_size(p)
 
     p = sub.add_parser("decide", help="prove or refute a dependency")
     p.add_argument("theory", help="theory file")
@@ -94,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory")
     p.add_argument("query")
     p.add_argument("--budget-models", type=int, default=1_000_000, metavar="N")
-    p.add_argument("--max-size", type=int, default=5, metavar="K")
+    add_max_size(p)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classify", help="per-formula structure report")

@@ -253,12 +253,17 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
         scale = 10.0 ** (-float(c))
 
         def exp_fn(a, b):
-            if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-                dist = abs(a - b)
-            else:
-                if len(a) != len(b):
-                    raise InvalidRelationError(f"vector length mismatch: {a!r} vs {b!r}")
-                dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+            try:
+                if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+                    dist = abs(a - b)
+                else:
+                    if len(a) != len(b):
+                        raise InvalidRelationError(f"vector length mismatch: {a!r} vs {b!r}")
+                    dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+            except TypeError:
+                raise InvalidRelationError(
+                    f"exp_euclidean needs two numbers or two numeric vectors: {a!r} vs {b!r}"
+                ) from None
             return math.exp(-scale * dist)
 
         return exp_fn

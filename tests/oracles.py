@@ -124,6 +124,27 @@ def counter_provable(theory, query, limit=100_000):
 # =====================================================================
 
 
+def canonical_form(algebra):
+    """Joint brute-force canonical form: the minimal (flattened leq,
+    flattened relabeled times) pair over every relabeling, where new
+    position i holds old element perm[i]."""
+    n = algebra.size
+    best = None
+    for perm in itertools.permutations(range(n)):
+        inv = [0] * n
+        for pos, orig in enumerate(perm):
+            inv[orig] = pos
+        leq = tuple(
+            algebra.leq_table[perm[i]][perm[j]] for i in range(n) for j in range(n)
+        )
+        times = tuple(
+            inv[algebra.times_table[perm[i]][perm[j]]] for i in range(n) for j in range(n)
+        )
+        if best is None or (leq, times) < best:
+            best = (leq, times)
+    return best
+
+
 def brute_force_pomonoid_forms(n):
     """Canonical forms of every pomonoid on n elements, by raw filtering.
 
@@ -183,7 +204,7 @@ def brute_force_pomonoid_forms(n):
                 for c in range(n)
             ):
                 continue
-            forms.add(FinitePomonoid(names, unit, leq, t).canonical_form())
+            forms.add(canonical_form(FinitePomonoid(names, unit, leq, t)))
     return forms
 
 
@@ -217,7 +238,7 @@ def brute_force_chain_forms(n):
             for c in range(n)
         ):
             continue
-        forms.add(FinitePomonoid(names, unit, leq, t).canonical_form())
+        forms.add(canonical_form(FinitePomonoid(names, unit, leq, t)))
     return forms
 
 

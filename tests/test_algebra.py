@@ -1,10 +1,13 @@
 """Degree algebras: axioms, evaluation, enumeration, and completion."""
 
+import collections
 import copy
+import hashlib
 import itertools
 import json
 import math
 import pickle
+import random
 
 import pytest
 
@@ -35,6 +38,20 @@ from mfdlogic import (
     validate_unit_interval,
 )
 from mfdlogic.algebra import _pomonoids_of_size
+
+
+def relabeled(algebra, perm):
+    """Isomorphic copy whose element i is the original element perm[i]."""
+    n = algebra.size
+    inv = [0] * n
+    for pos, orig in enumerate(perm):
+        inv[orig] = pos
+    leq = [[algebra.leq_table[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    times = [
+        [inv[algebra.times_table[perm[i]][perm[j]]] for j in range(n)] for i in range(n)
+    ]
+    names = tuple(f"v{i}" for i in range(n))
+    return FinitePomonoid(names, inv[algebra.unit], leq, times)
 
 
 @pytest.fixture
@@ -136,6 +153,17 @@ class TestFinitePomonoid:
             with pytest.raises(AttributeError):
                 setattr(shared, name, value)
         assert list(enumerate_pomonoids(3)) == before
+
+    def test_slots_cannot_be_deleted(self):
+        tables = lambda: [(a.unit, a.leq_table, a.times_table) for a in enumerate_pomonoids(3)]
+        before = tables()
+        shared = list(enumerate_pomonoids(3))[2]
+        for name in ("unit", "leq_table", "times_table", "element_names", "_np"):
+            with pytest.raises(AttributeError):
+                delattr(shared, name)
+        with pytest.raises(AttributeError):
+            shared.unit = 1
+        assert tables() == before
 
     def test_copies_and_pickles_round_trip(self, nonlinear_algebra):
         lattice, _ = downset_completion(nonlinear_algebra)
@@ -326,6 +354,16 @@ class TestEnumeration:
         forms = [a.canonical_form() for a in pomonoids_upto_4]
         assert len(forms) == len(set(forms))
 
+    def test_stream_up_to_size6_is_pinned(self):
+        # refutations and tests depend on this exact order and labeling
+        algebras = list(enumerate_pomonoids(6))
+        counts = collections.Counter(a.size for a in algebras)
+        assert counts == {1: 1, 2: 1, 3: 2, 4: 9, 5: 60, 6: 590}
+        stream = repr([(a.unit, a.leq_table, a.times_table) for a in algebras])
+        assert hashlib.sha256(stream.encode()).hexdigest() == (
+            "069b14ba131f7377773a7382bb28f48acb22d267083f29e62db919aff9bf82a4"
+        )
+
     def test_deterministic(self):
         first = [(a.element_names, a.unit, a.leq_table, a.times_table)
                  for a in enumerate_pomonoids(3)]
@@ -378,19 +416,24 @@ class TestEnumeration:
 class TestCanonicalForm:
     def test_relabeling_invariant(self, nonlinear_algebra):
         nl = nonlinear_algebra
-        perm = (4, 2, 0, 3, 1)  # arbitrary relabeling
-        inv = [0] * 5
-        for pos, orig in enumerate(perm):
-            inv[orig] = pos
-        leq = [[nl.leq_table[perm[i]][perm[j]] for j in range(5)] for i in range(5)]
-        times = [
-            [inv[nl.times_table[perm[i]][perm[j]]] for j in range(5)] for i in range(5)
-        ]
-        relabeled = FinitePomonoid(
-            ("v", "w", "x", "y", "z"), inv[nl.unit], leq, times
-        )
-        assert validate(relabeled) == []
-        assert relabeled.canonical_form() == nl.canonical_form()
+        twin = relabeled(nl, (4, 2, 0, 3, 1))  # arbitrary relabeling
+        assert validate(twin) == []
+        assert twin.canonical_form() == nl.canonical_form()
+
+    def test_matches_brute_force_reference(self):
+        for a in enumerate_pomonoids(5):
+            assert a.canonical_form() == oracles.canonical_form(a)
+
+    def test_relabeled_copies_match_reference(self):
+        rng = random.Random(5)
+        for a in enumerate_pomonoids(5):
+            for _ in range(2):
+                perm = list(range(a.size))
+                rng.shuffle(perm)
+                twin = relabeled(a, perm)
+                assert validate(twin) == []
+                assert twin.canonical_form() == oracles.canonical_form(twin)
+                assert twin.canonical_form() == a.canonical_form()
 
     def test_distinguishes_size3_pair(self):
         pair = [a for a in enumerate_pomonoids(3) if a.size == 3]

@@ -445,6 +445,7 @@ class TestErrors:
             ({"kind": "table", "labels": ["u", "v"], "values": [[1, 0.5], [0.5, 1]]},
              [["u"], ["w"]]),
             ({"kind": "exp_euclidean", "c": 1}, [[[1, 2]], [[1, 2, 3]]]),
+            ({"kind": "exp_euclidean", "c": 1}, [[1], [[1, 2]]]),
         ],
     )
     def test_values_the_similarity_cannot_compare(self, run, tmp_path, similarity, tuples):
@@ -459,6 +460,17 @@ class TestErrors:
         code, out, err = run("check", str(rel), str(theory))
         assert code == EXIT_USAGE
         assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("command", ["decide", "countermodel"])
+    @pytest.mark.parametrize("size", ["0", "7"])
+    def test_max_size_out_of_range(self, run, data_dir, command, size):
+        # exit code 1 would read as refuted
+        code, out, err = run(
+            command, theory_path(data_dir, "no_additivity.theory"), "p -> q r",
+            "--max-size", size,
+        )
+        assert code == EXIT_USAGE
+        assert "--max-size" in err and out == ""
 
     def test_invalid_algebra_json(self, run, tmp_path):
         bad = tmp_path / "alg.json"

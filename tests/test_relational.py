@@ -307,6 +307,12 @@ class TestBuiltinSimilarity:
         with pytest.raises(InvalidRelationError):
             fn((1.0, 2.0), (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("a,b", [(1, (1, 2)), ((1, 2), 1.5), ("x", "y"), (("x",), (1,))])
+    def test_exp_euclidean_uncomparable_values(self, a, b):
+        fn = builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": 2})
+        with pytest.raises(InvalidRelationError):
+            fn(a, b)
+
     def test_exp_euclidean_needs_real_degrees(self):
         with pytest.raises(InvalidRelationError):
             builtin_similarity("exp_euclidean", builtin_algebra("bool2"), {"c": 2})
