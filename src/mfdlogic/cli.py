@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_budgets(p):
         p.add_argument("--budget-bfs", type=int, default=100_000, metavar="N",
-                       help="proof search node limit (default 100000)")
+                       help="BFS node limit, contracting theories only (default 100000)")
         p.add_argument("--budget-models", type=int, default=1_000_000, metavar="N",
                        help="countermodel evaluation limit (default 1000000)")
         add_max_size(p)
@@ -223,13 +223,6 @@ def verdict_from_json(doc: dict) -> entail.Verdict:
 def _read_theory(path: str) -> Theory:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_theory(fh.read())
-
-
-def _emit(doc: dict, as_json: bool, human: str) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(human)
 
 
 def _print_verdict(v: entail.Verdict, as_json: bool) -> int:
@@ -449,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except relational.SchemeMismatchError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,8 +6,9 @@ runs breadth-first search from A looking for any multiset containing B and
 reconstructs a checkable certificate from the path.  The refuter sweeps
 evaluations over exhaustively enumerated finite pomonoids, smallest first,
 until one models the theory but not the query.  ``decide`` interleaves the
-two, taking the member fast path when the theory is non-contracting (there
-the answer is definitive either way).
+two, except when the theory is non-contracting: there the member procedure
+answers yes or no outright, and a yes is certified from the rule firings of
+its own saturation run, with no search at all.
 
 Both searches are budgeted; when neither side settles the verdict is
 Unknown and carries the spent budgets.  Proofs found are always re-checked
@@ -17,7 +18,8 @@ being reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,7 +32,7 @@ from .formula import (
     divides,
     is_non_contracting_theory,
 )
-from .member import member
+from .member import member, member_trace
 from .proofs import Hyp, ProofTree, check_proof, derive_pro, derive_ref, derive_rwt
 
 __all__ = [
@@ -76,7 +78,8 @@ class RewritePath:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Search limits: BFS nodes, model evaluations, largest algebra tried."""
+    """Search limits: BFS nodes (contracting theories only: ``decide`` runs
+    no BFS on a non-contracting one), model evaluations, largest algebra."""
 
     bfs_nodes: int = 100_000
     model_evals: int = 1_000_000
@@ -242,18 +245,7 @@ def bfs_prove(theory: Theory, query: Mfd, budget: int = 100_000) -> Verdict:
     rewrite graph (the report distinguishes them); this function never
     claims refutation.
     """
-    for event in _bfs_engine(theory, query, budget):
-        kind = event[0]
-        if kind == "proved":
-            path = event[1]
-            cert = certificate_from_path(query, path)
-            check_proof(cert, theory)
-            return Proved(query, path, cert)
-        if kind == "exhausted":
-            return Unknown(query, BudgetReport(bfs_nodes_used=event[1], bfs_exhausted=True))
-        if kind == "budget":
-            return Unknown(query, BudgetReport(bfs_nodes_used=event[1]))
-    raise AssertionError("search ended without a terminal event")
+    return _search(theory, query, _bfs_engine(theory, query, budget), None)
 
 
 # =====================================================================
@@ -358,11 +350,10 @@ def find_countermodel(
     lexicographic order, so the witness is reproducible.  None means the
     budget or the size cap ran out without a hit.
     """
-    for event in _countermodel_engine(theory, query, max_size, budget):
-        if event[0] == "refuted":
-            return event[1], event[2]
-        if event[0] in ("budget", "exhausted"):
-            return None
+    refuter = _countermodel_engine(theory, query, max_size, budget)
+    verdict = _search(theory, query, None, refuter)
+    if isinstance(verdict, Refuted):
+        return verdict.algebra, verdict.evaluation
     return None
 
 
@@ -371,66 +362,81 @@ def find_countermodel(
 # =====================================================================
 
 
+def _search(theory: Theory, query: Mfd, prover, refuter) -> Verdict:
+    """Drive a ``_bfs_engine`` and a ``_countermodel_engine`` (either may be
+    None), one BFS layer against one algebra sweep, first hit wins.  When
+    both run out, the Unknown carries what both spent."""
+    report = BudgetReport()
+    while prover or refuter:
+        if prover:
+            event = next(prover)
+            if event[0] == "proved":
+                cert = certificate_from_path(query, event[1])
+                check_proof(cert, theory)
+                return Proved(query, event[1], cert)
+            report = replace(report, bfs_nodes_used=event[1],
+                             bfs_exhausted=event[0] == "exhausted")
+            prover = prover if event[0] == "layer" else None
+        if refuter:
+            event = next(refuter)
+            if event[0] == "refuted":
+                return Refuted(query, "countermodel", event[1], event[2])
+            report = replace(report, model_evals_used=event[1], algebras_scanned=event[2],
+                             models_exhausted=event[0] == "exhausted")
+            refuter = refuter if event[0] == "algebra" else None
+    return Unknown(query, report)
+
+
+def _saturation_path(theory: Theory, query: Mfd) -> RewritePath:
+    """A rewrite path for a query ``member`` accepts, made of its own firings.
+
+    The firings are walked back with a demand D, first B: a firing E -> F is
+    kept if its gain G = F - E meets D, and then D becomes max(D - G, E); the
+    walk stops once A covers D.  Rules of a non-contracting theory never
+    consume E, so every kept firing still applies when replayed from A.
+    """
+    def counts(m: AttributeMultiset) -> Counter:
+        return Counter(dict(m.items()))
+
+    # the last firing is the marker rule's
+    fired = [f for p in member_trace(theory, query).passes for f in p.fired][:-1]
+    have, demand, kept = counts(query.antecedent), counts(query.consequent), []
+    for f in reversed(fired):
+        if not demand - have:
+            break
+        gain = counts(f.consequent) - counts(f.antecedent)
+        if gain & demand:
+            kept.append(f)
+            demand = (demand - gain) | counts(f.antecedent)
+    w, steps = query.antecedent, []
+    for f in reversed(kept):
+        x = divides(f.antecedent, w)
+        w = f.consequent.union(x)
+        steps.append(RewriteStep(f, x, w))
+    return RewritePath(query.antecedent, tuple(steps))
+
+
 def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     """Prove or refute the query, or report Unknown with spent budgets.
 
     Non-contracting theories get the definitive fast path: the member
-    procedure answers yes/no outright, and a yes is upgraded to a full
-    certificate by one BFS with 64 times the node budget (its visiting order
-    does not depend on the budget).  Otherwise the prover and the refuter
-    run interleaved, one BFS layer against one algebra sweep, first hit wins.
+    procedure answers yes/no outright, and a yes is certified from the
+    firings of its saturation run, with no budget and not necessarily the
+    shortest path.  Otherwise the prover and the refuter run interleaved,
+    one BFS layer against one algebra sweep, first hit wins.
     """
     if is_non_contracting_theory(theory):
-        if member(theory, query):
-            verdict = bfs_prove(theory, query, 64 * max(budgets.bfs_nodes, 1))
-            if isinstance(verdict, Proved):
-                return verdict
-            raise RuntimeError("provable query but certificate search exceeded 64x its budget")
-        return Refuted(query, "member-algorithm")
-
+        if not member(theory, query):
+            return Refuted(query, "member-algorithm")
+        path = _saturation_path(theory, query)
+        cert = certificate_from_path(query, path)
+        check_proof(cert, theory)
+        return Proved(query, path, cert)
     prover = _bfs_engine(theory, query, budgets.bfs_nodes)
     refuter = _countermodel_engine(
         theory, query, budgets.max_algebra_size, budgets.model_evals
     )
-    report = BudgetReport()
-    prover_alive = True
-    refuter_alive = True
-    while prover_alive or refuter_alive:
-        if prover_alive:
-            event = next(prover)
-            kind = event[0]
-            if kind == "proved":
-                path = event[1]
-                cert = certificate_from_path(query, path)
-                check_proof(cert, theory)
-                return Proved(query, path, cert)
-            if kind == "layer":
-                report = replace(report, bfs_nodes_used=event[1])
-            else:
-                prover_alive = False
-                report = replace(
-                    report,
-                    bfs_nodes_used=event[1],
-                    bfs_exhausted=(kind == "exhausted"),
-                )
-        if refuter_alive:
-            event = next(refuter)
-            kind = event[0]
-            if kind == "refuted":
-                return Refuted(query, "countermodel", event[1], event[2])
-            if kind == "algebra":
-                report = replace(
-                    report, model_evals_used=event[1], algebras_scanned=event[2]
-                )
-            else:
-                refuter_alive = False
-                report = replace(
-                    report,
-                    model_evals_used=event[1],
-                    algebras_scanned=event[2],
-                    models_exhausted=(kind == "exhausted"),
-                )
-    return Unknown(query, report)
+    return _search(theory, query, prover, refuter)
 
 
 def deduction_witness(

@@ -40,6 +40,20 @@ def no_accumulation():
 
 
 @pytest.fixture(scope="session")
+def growth_chain():
+    """Theory text: 40 rules ``g_k -> g_k g_k+1`` plus ten growth rules onto
+    side attributes s0..s5.  Every rule keeps firing, so breadth-first search
+    for ``g0 -> g40`` drowns in branching.  Listed from the end of the chain,
+    so the saturation advances it one link per pass."""
+    rules = []
+    for k in reversed(range(40)):
+        rules.append(f"g{k} -> g{k} g{k + 1}")
+        if k % 4 == 0:
+            rules.append(f"g{k} -> g{k} s{k // 4 % 6}")
+    return "\n".join(rules) + "\n"
+
+
+@pytest.fixture(scope="session")
 def nonlinear_algebra():
     return load_algebra(str(DATA / "nonlinear_pomonoid.json"))
 

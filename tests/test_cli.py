@@ -141,6 +141,17 @@ class TestDecide:
         assert isinstance(verdict, Unknown)
         assert verdict_to_json(verdict) == doc
 
+    def test_growth_chain_with_tiny_bfs_budget(self, run, tmp_path, growth_chain):
+        # non-contracting: proved from the saturation run, the budget is unused
+        theory = tmp_path / "growth.theory"
+        theory.write_text(growth_chain)
+        code, out, _ = run("decide", str(theory), "g0 -> g40", "--budget-bfs", "10", "--json")
+        assert code == EXIT_PROVED
+        doc = json.loads(out)
+        assert len(doc["path"]["steps"]) == 40
+        certificate = verdict_from_json(doc).certificate
+        assert check_proof(certificate, parse_theory(growth_chain)) == parse_mfd("g0 -> g40")
+
 
 # ============================================================
 # member
@@ -429,6 +440,26 @@ class TestErrors:
         code, _, err = run("decide", str(tmp_path / "absent.theory"), "p -> q")
         assert code == EXIT_USAGE
         assert err.startswith("error:")
+
+    def test_theory_is_a_directory(self, run, tmp_path):
+        # exit code 1 would read as refuted
+        code, out, err = run("decide", str(tmp_path), "p -> q")
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
+    def test_theory_is_not_utf8(self, run, tmp_path):
+        theory = tmp_path / "bad.theory"
+        theory.write_bytes(b"\xff\xfe")
+        code, out, err = run("decide", str(theory), "p -> q")
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
+    def test_relation_is_a_directory(self, run, tmp_path, data_dir):
+        code, out, err = run(
+            "check", str(tmp_path), theory_path(data_dir, "housing_fd.theory")
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
 
     def test_invalid_relation_json(self, run, tmp_path, data_dir):
         bad = tmp_path / "bad.json"

@@ -38,6 +38,7 @@ from mfdlogic import (
     rewrite_successors,
     satisfies,
 )
+from mfdlogic import entail
 from mfdlogic.entail import _digits
 
 M = parse_multiset
@@ -380,6 +381,57 @@ class TestDecide:
                 assert is_model(verdict.evaluation, theory)
                 assert not satisfies(verdict.evaluation, query)
         assert "Proved" in seen and "Refuted" in seen
+
+
+class TestSaturationProofs:
+    """Non-contracting theories are proved from the member run's firings."""
+
+    def test_growth_chain_needs_no_search(self, growth_chain, monkeypatch):
+        def no_bfs(*args):
+            raise AssertionError("decide searched a non-contracting theory")
+
+        monkeypatch.setattr(entail, "_bfs_engine", no_bfs)
+        theory, query = parse_theory(growth_chain), F("g0 -> g40")
+        verdict = decide(theory, query, Budgets(bfs_nodes=10))
+        assert isinstance(verdict, Proved)
+        assert len(verdict.path) == 40
+        assert check_proof(verdict.certificate, theory) == query
+
+    def test_zero_step_proof(self):
+        theory, query = parse_theory("p -> p q"), F("p q -> q")
+        verdict = decide(theory, query)
+        assert isinstance(verdict, Proved)
+        assert len(verdict.path) == 0
+        assert check_proof(verdict.certificate, theory) == query
+
+    def test_agrees_with_member_and_bfs(self):
+        rng = random.Random(11)
+        names = ("a", "b", "c", "d")
+        seen = Counter()
+        for _ in range(300):
+            formulas = []
+            for _ in range(rng.randint(1, 4)):
+                ant = rand_multiset(rng, names, most=2)
+                formulas.append(Mfd(ant, ant.union(rand_multiset(rng, names, most=2))))
+            theory = Theory(tuple(formulas))
+            query = Mfd(rand_multiset(rng, names), rand_multiset(rng, names))
+            verdict = decide(theory, query, Budgets(bfs_nodes=1))
+            seen[type(verdict).__name__] += 1
+            assert isinstance(verdict, Proved) == member(theory, query)
+            if not isinstance(verdict, Proved):
+                assert verdict.method == "member-algorithm"
+                continue
+            w = verdict.path.start
+            assert w == query.antecedent
+            for step in verdict.path.steps:
+                assert step in rewrite_successors(w, theory)
+                w = step.result
+            assert w.contains_multiset(query.consequent)
+            assert check_proof(verdict.certificate, theory) == query
+            shortest = bfs_prove(theory, query, 10**6)
+            assert isinstance(shortest, Proved)
+            assert len(verdict.path) >= len(shortest.path)
+        assert seen["Proved"] >= 100 and seen["Refuted"] >= 100
 
 
 # ============================================================
