@@ -234,16 +234,16 @@ class FiniteResiduatedLattice(FinitePomonoid):
         n = self.size
         if not (0 <= bottom < n):
             raise ValueError(f"bottom index {bottom} out of range")
+        tables = []
         for label, table in (("meet", meet_table), ("join", join_table), ("residuum", residuum_table)):
             rows = tuple(tuple(int(v) for v in row) for row in table)
             if len(rows) != n or any(len(row) != n for row in rows):
                 raise ValueError(f"{label} table must be {n}x{n}")
             if any(not (0 <= v < n) for row in rows for v in row):
                 raise ValueError(f"{label} table entry out of range")
+            tables.append(rows)
         self.bottom = int(bottom)
-        self.meet_table = tuple(tuple(int(v) for v in row) for row in meet_table)
-        self.join_table = tuple(tuple(int(v) for v in row) for row in join_table)
-        self.residuum_table = tuple(tuple(int(v) for v in row) for row in residuum_table)
+        self.meet_table, self.join_table, self.residuum_table = tables
 
     def meet(self, a: int, b: int) -> int:
         return self.meet_table[a][b]
@@ -629,7 +629,7 @@ def _fill_times_tables(
     yield from search(0)
 
 
-def enumerate_pomonoids(max_size: int, size_cap: int = ENUMERATION_SIZE_CAP) -> Iterator[FinitePomonoid]:
+def enumerate_pomonoids(max_size: int) -> Iterator[FinitePomonoid]:
     """Stream every integral commutative pomonoid of size <= max_size.
 
     Deterministic order: carrier size, then order matrix, then times table,
@@ -643,8 +643,8 @@ def enumerate_pomonoids(max_size: int, size_cap: int = ENUMERATION_SIZE_CAP) -> 
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    if max_size > size_cap:
-        raise ValueError(f"max_size {max_size} exceeds enumeration cap {size_cap}")
+    if max_size > ENUMERATION_SIZE_CAP:
+        raise ValueError(f"max_size {max_size} exceeds enumeration cap {ENUMERATION_SIZE_CAP}")
     for n in range(1, max_size + 1):
         yield from _pomonoids_of_size(n)
 

@@ -427,24 +427,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "complete-algebra": _cmd_complete_algebra,
         }
         return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (TheoryParseError, proofs.ProofParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (alg.InvalidAlgebraError, relational.InvalidRelationError) as exc:
+    except (
+        _UsageError,
+        alg.InvalidAlgebraError,
+        relational.InvalidRelationError,
+        OSError,
+        UnicodeDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ContractingTheoryError as exc:
+    except (ContractingTheoryError, relational.SchemeMismatchError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except relational.SchemeMismatchError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

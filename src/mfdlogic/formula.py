@@ -416,7 +416,7 @@ def parse_theory(text: str) -> Theory:
 def format_multiset(m: AttributeMultiset) -> str:
     if m.is_top:
         return "1"
-    return " ".join(name for name, mult in m.items() for _ in range(mult))
+    return " ".join(" ".join([name] * mult) for name, mult in m.items())
 
 
 def format_mfd(f: Mfd) -> str:

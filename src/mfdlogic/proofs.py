@@ -101,31 +101,35 @@ def check_proof(tree: ProofTree, theory: Theory) -> Mfd:
 
     Raises :class:`ProofError` when a hypothesis is not a theory formula,
     when the premises of a cut do not compose, or when a stored conclusion
-    disagrees with the one the rule actually yields.
+    disagrees with the one the rule actually yields.  Nodes are visited
+    children first, left before right, so a cut only reads conclusions that
+    are already verified.
     """
-    if isinstance(tree, Hyp):
-        if tree.formula not in theory.formulas:
-            raise ProofError(f"hypothesis not in theory: {format_mfd(tree.formula)}")
-        return tree.formula
-    if isinstance(tree, AxInstance):
-        return tree.conclusion
-    if isinstance(tree, Cut):
-        left = check_proof(tree.left, theory)
-        right = check_proof(tree.right, theory)
-        c = divides(left.consequent, right.antecedent)
-        if c is None:
-            raise ProofError(
-                "cut premises do not compose: "
-                f"{format_mfd(left)} with {format_mfd(right)}"
-            )
-        expected = Mfd(left.antecedent.union(c), right.consequent)
-        if expected != tree.conclusion:
-            raise ProofError(
-                f"cut conclusion mismatch: stored {format_mfd(tree.conclusion)}, "
-                f"derived {format_mfd(expected)}"
-            )
-        return tree.conclusion
-    raise ProofError(f"not a proof node: {tree!r}")
+    stack = [(tree, False)]
+    while stack:
+        node, premises_done = stack.pop()
+        if isinstance(node, Cut) and not premises_done:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+        elif isinstance(node, Cut):
+            left, right = node.left.conclusion, node.right.conclusion
+            c = divides(left.consequent, right.antecedent)
+            if c is None:
+                raise ProofError(
+                    "cut premises do not compose: "
+                    f"{format_mfd(left)} with {format_mfd(right)}"
+                )
+            expected = Mfd(left.antecedent.union(c), right.consequent)
+            if expected != node.conclusion:
+                raise ProofError(
+                    f"cut conclusion mismatch: stored {format_mfd(node.conclusion)}, "
+                    f"derived {format_mfd(expected)}"
+                )
+        elif isinstance(node, Hyp):
+            if node.formula not in theory.formulas:
+                raise ProofError(f"hypothesis not in theory: {format_mfd(node.formula)}")
+        elif not isinstance(node, AxInstance):
+            raise ProofError(f"not a proof node: {node!r}")
+    return tree.conclusion
 
 
 # =====================================================================
@@ -212,77 +216,68 @@ def derive_weak_additivity(p1: ProofTree, p2: ProofTree) -> ProofTree:
 
 
 def format_proof(tree: ProofTree) -> str:
-    if isinstance(tree, Hyp):
-        return f'(hyp "{format_mfd(tree.formula)}")'
-    if isinstance(tree, AxInstance):
-        return f'(ax "{format_multiset(tree.left)}" "{format_multiset(tree.right)}")'
-    if isinstance(tree, Cut):
-        return (
-            f"(cut {format_proof(tree.left)} {format_proof(tree.right)} "
-            f'"{format_mfd(tree.conclusion)}")'
-        )
-    raise ProofError(f"not a proof node: {tree!r}")
+    # stack entries are (text, None) for a literal piece, (None, node) for a node
+    pieces = []
+    stack = [(None, tree)]
+    while stack:
+        text, node = stack.pop()
+        if text is not None:
+            pieces.append(text)
+        elif isinstance(node, Hyp):
+            pieces.append(f'(hyp "{format_mfd(node.formula)}")')
+        elif isinstance(node, AxInstance):
+            pieces.append(f'(ax "{format_multiset(node.left)}" "{format_multiset(node.right)}")')
+        elif isinstance(node, Cut):
+            pieces.append("(cut ")
+            stack += [
+                (f' "{format_mfd(node.conclusion)}")', None),
+                (None, node.right),
+                (" ", None),
+                (None, node.left),
+            ]
+        else:
+            raise ProofError(f"not a proof node: {node!r}")
+    return "".join(pieces)
 
 
-_TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[a-z]+')
+_TOKEN_RE = re.compile(r'\(\s*([a-z]*)|"([^"]*)"|\)|[a-z]+')
 
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        between = text[pos : match.start()]
-        if between.strip():
-            raise ProofParseError(f"unexpected characters {between.strip()!r}")
-        tokens.append(match.group())
-        pos = match.end()
-    if text[pos:].strip():
-        raise ProofParseError(f"unexpected trailing characters {text[pos:].strip()!r}")
-    return tokens
+# Per node kind: its constructor, then the tokens that follow the kind:
+# "(" opens a subproof, a parser reads a quoted string, ")" closes the node.
+_NODE_ARGS = {
+    "hyp": (Hyp, parse_mfd, ")"),
+    "ax": (AxInstance, parse_multiset, parse_multiset, ")"),
+    "cut": (Cut, "(", "(", parse_mfd, ")"),
+}
 
 
 def parse_proof(text: str) -> ProofTree:
     """Parse an s-expression certificate."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def expect(tok: str):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            got = tokens[pos] if pos < len(tokens) else "end of input"
-            raise ProofParseError(f"expected {tok!r}, got {got}")
-        pos += 1
-
-    def string() -> str:
-        nonlocal pos
-        if pos >= len(tokens) or not tokens[pos].startswith('"'):
-            got = tokens[pos] if pos < len(tokens) else "end of input"
-            raise ProofParseError(f"expected quoted string, got {got}")
-        raw = tokens[pos][1:-1]
-        pos += 1
-        return raw
-
-    def node() -> ProofTree:
-        nonlocal pos
-        expect("(")
-        if pos >= len(tokens):
-            raise ProofParseError("unexpected end of input")
-        head = tokens[pos]
-        pos += 1
-        if head == "hyp":
-            tree: ProofTree = Hyp(parse_mfd(string()))
-        elif head == "ax":
-            tree = AxInstance(parse_multiset(string()), parse_multiset(string()))
-        elif head == "cut":
-            left = node()
-            right = node()
-            tree = Cut(left, right, parse_mfd(string()))
+    # characters outside tokens are reported before any error in a formula
+    stray = re.search(r'[^()a-z\s]', re.sub(r'"[^"]*"', " ", text))
+    if stray:
+        raise ProofParseError(f"unexpected character {stray.group()!r}")
+    stack = []  # open nodes: [kind, arguments parsed so far...]
+    done = []  # the tree, once the outermost node is closed
+    for match in _TOKEN_RE.finditer(text):
+        kind, quoted = match.groups()
+        if stack:
+            spec = _NODE_ARGS[stack[-1][0]]
+            want = spec[len(stack[-1])]
         else:
-            raise ProofParseError(f"unknown proof node kind {head!r}")
-        expect(")")
-        return tree
-
-    tree = node()
-    if pos != len(tokens):
-        raise ProofParseError(f"unexpected trailing tokens {tokens[pos:]!r}")
-    return tree
+            want = "end of input" if done else "("
+        if kind is not None and want == "(":
+            if kind not in _NODE_ARGS:
+                raise ProofParseError(f"unknown proof node kind {kind!r}")
+            stack.append([kind])
+        elif match.group() == want == ")":
+            tree = spec[0](*stack.pop()[1:])
+            (stack[-1] if stack else done).append(tree)
+        elif quoted is not None and callable(want):
+            stack[-1].append(want(quoted))
+        else:
+            expected = want if isinstance(want, str) else "quoted string"
+            raise ProofParseError(f"expected {expected}, got {match.group()}")
+    if not done:
+        raise ProofParseError("unexpected end of input")
+    return done[0]

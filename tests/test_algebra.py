@@ -484,6 +484,21 @@ class TestDownsetCompletion:
                 r = lattice.residuum(a, b)
                 assert lattice.leq_holds(lattice.times(r, a), b)
 
+    def test_tables_given_as_row_generators(self, bool2):
+        lattice, _ = downset_completion(bool2)
+        tables = (lattice.meet_table, lattice.join_table, lattice.residuum_table)
+        head = (lattice.element_names, lattice.unit, lattice.leq_table, lattice.times_table)
+        from_lists = FiniteResiduatedLattice(
+            *head, lattice.bottom, *([list(r) for r in t] for t in tables)
+        )
+        from_generators = FiniteResiduatedLattice(
+            *head, lattice.bottom, *((list(r) for r in t) for t in tables)
+        )
+        for got in (from_lists, from_generators):
+            assert got == lattice
+            assert (got.meet_table, got.join_table, got.residuum_table) == tables
+            assert validate(got) == []
+
 
 # ============================================================
 # Serialization

@@ -152,6 +152,15 @@ class TestDecide:
         certificate = verdict_from_json(doc).certificate
         assert check_proof(certificate, parse_theory(growth_chain)) == parse_mfd("g0 -> g40")
 
+    def test_counter_past_the_recursion_limit(self, run, tmp_path):
+        # a 1100-step rewrite line; its certificate nests 1100 cuts deep
+        theory = tmp_path / "counter.theory"
+        theory.write_text("a b -> b b\n")
+        query = " ".join(["a"] * 1100 + ["b"]) + " -> " + " ".join(["b"] * 1101)
+        code, out, _ = run("decide", str(theory), query, "--json")
+        assert code == EXIT_PROVED
+        assert len(json.loads(out)["path"]["steps"]) == 1100
+
 
 # ============================================================
 # member

@@ -14,9 +14,12 @@ from mfdlogic import (
     Mfd,
     ProofError,
     ProofParseError,
+    RewritePath,
+    RewriteStep,
     Theory,
     TheoryParseError,
     TOP,
+    certificate_from_path,
     check_proof,
     derive_aug,
     derive_pro,
@@ -114,6 +117,12 @@ class TestCheckProof:
     def test_rejects_foreign_objects(self):
         with pytest.raises(ProofError, match="not a proof node"):
             check_proof(F("p -> q"), Theory(()))
+        # a string child is a foreign object, not a piece of certificate text
+        junk = Cut("junk", Hyp(F("p -> q")), F("p -> q"))
+        with pytest.raises(ProofError, match="not a proof node: 'junk'"):
+            check_proof(junk, parse_theory("p -> q"))
+        with pytest.raises(ProofError, match="not a proof node: 'junk'"):
+            format_proof(junk)
 
 
 # ============================================================
@@ -298,6 +307,8 @@ class TestCertificates:
             "(hyp p -> q)",
             '[hyp "p -> q"]',
             '(ax "a")',
+            '(hyp ")',
+            '(hyp "p q") [',
         ],
     )
     def test_parse_errors(self, text):
@@ -310,3 +321,18 @@ class TestCertificates:
             parse_proof('(hyp "p q")')
         with pytest.raises(TheoryParseError):
             parse_proof('(ax "p ->" "q")')
+
+    def test_deep_certificate(self):
+        # 5000 alternating rewrites nest 5000 cuts deep, far past the
+        # interpreter's recursion limit; deep trees are compared by their text
+        theory = parse_theory("p -> q\nq -> p")
+        steps = []
+        for k in range(5000):
+            old, new = ("p", "q") if k % 2 == 0 else ("q", "p")
+            steps.append(RewriteStep(F(f"{old} -> {new}"), TOP, M(new)))
+        tree = certificate_from_path(F("p -> p"), RewritePath(M("p"), tuple(steps)))
+        assert check_proof(tree, theory) == F("p -> p")
+        text = format_proof(tree)
+        parsed = parse_proof(text)
+        assert format_proof(parsed) == text
+        assert check_proof(parsed, theory) == F("p -> p")
