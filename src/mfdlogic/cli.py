@@ -301,6 +301,13 @@ def _cmd_member(args) -> int:
     return EXIT_PROVED if trace.result else EXIT_REFUTED
 
 
+def _degree_out(algebra, value):
+    """A degree as printed: the element name in a finite algebra."""
+    if isinstance(algebra, alg.FinitePomonoid):
+        return algebra.element_names[value]
+    return value
+
+
 def _fmt_degree(value) -> str:
     if isinstance(value, float):
         return format(value, ".4f")
@@ -315,26 +322,28 @@ def _cmd_check(args) -> int:
         if problems:  # cannot happen for the stock kinds; guards custom ones
             print(f"algebra failed spot check: {problems[0]}", file=sys.stderr)
             return EXIT_PRECONDITION
-    ok, violation = relational.relation_models(rel, theory)
+    ok, w = relational.relation_models(rel, theory)
+    if w is not None:
+        algebra = rel.similarity.algebra
+        da = _degree_out(algebra, w.antecedent_degree)
+        db = _degree_out(algebra, w.consequent_degree)
     if args.json:
         doc = {"models": ok}
-        if violation is not None:
-            w = violation
+        if w is not None:
             doc["violation"] = {
                 "formula": format_mfd(w.formula),
                 "pair": [w.i, w.j],
-                "antecedent_degree": w.antecedent_degree,
-                "consequent_degree": w.consequent_degree,
+                "antecedent_degree": da,
+                "consequent_degree": db,
             }
         print(json.dumps(doc, indent=2))
     elif ok:
         print("models: yes")
     else:
-        w = violation
         print("models: no")
         print(
             f"violation: {format_mfd(w.formula)} at tuples ({w.i}, {w.j}): "
-            f"{_fmt_degree(w.antecedent_degree)} <= {_fmt_degree(w.consequent_degree)} fails"
+            f"{_fmt_degree(da)} <= {_fmt_degree(db)} fails"
         )
     return EXIT_PROVED if ok else EXIT_REFUTED
 

@@ -84,13 +84,67 @@ class AxInstance:
         return Mfd(self.left.union(self.right), self.right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cut:
-    """A cut of two subproofs; the conclusion is stored and re-verified."""
+    """A cut of two subproofs; the conclusion is stored and re-verified.
+
+    Equality is structural and ``repr`` is the one a dataclass would
+    generate, but these and ``hash`` walk an explicit stack, so cut trees of
+    any depth work.
+    """
 
     left: "ProofTree"
     right: "ProofTree"
     conclusion: Mfd
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if not isinstance(a, Cut) or a.__class__ is not b.__class__:
+                if a != b:
+                    return False
+            elif a.conclusion != b.conclusion:
+                return False
+            else:
+                stack += [(a.right, b.right), (a.left, b.left)]
+        return True
+
+    def __hash__(self) -> int:
+        # children first, as in check_proof; a cut child enters by its hash
+        hashes = {}
+        stack = [(self, False)]
+        while stack:
+            node, children_done = stack.pop()
+            if id(node) in hashes:
+                continue
+            if not children_done:
+                stack.append((node, True))
+                stack += [(c, False) for c in (node.left, node.right) if isinstance(c, Cut)]
+            else:
+                parts = [hashes[id(c)] if isinstance(c, Cut) else c for c in (node.left, node.right)]
+                hashes[id(node)] = hash((*parts, node.conclusion))
+        return hashes[id(self)]
+
+    def __repr__(self) -> str:
+        # (text, None) is literal text, (None, node) a node still to print
+        pieces = []
+        stack = [(None, self)]
+        while stack:
+            text, node = stack.pop()
+            if node is None:
+                pieces.append(text)
+            elif isinstance(node, Cut):
+                stack += [(f", conclusion={node.conclusion!r})", None), (None, node.right),
+                          (", right=", None), (None, node.left),
+                          (f"{node.__class__.__qualname__}(left=", None)]
+            else:
+                pieces.append(repr(node))
+        return "".join(pieces)
 
 
 ProofTree = Union[Hyp, AxInstance, Cut]

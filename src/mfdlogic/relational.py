@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .algebra import (
     Algebra,
     Evaluation,
@@ -150,23 +152,132 @@ def tuple_similarity(rel: RankedRelation, i: int, j: int, m: AttributeMultiset):
     return evaluate(_pair_evaluation(rel, i, j, _columns(rel, m.support), e), m)
 
 
+# Row pairs per tile of the relation check: what a check holds at once is a
+# few arrays of about this many degrees, whatever the number of rows.
+_TILE_PAIRS = 4096
+
+
+def _code_column(rel: RankedRelation, pos: int) -> Tuple[np.ndarray, List]:
+    """Number the values at ``pos`` by first appearance.
+
+    Returns (codes, values): row r holds a value equal to ``values[codes[r]]``.
+    Values of different types never share a code, so 1 and 1.0 keep their
+    own similarity calls; an unhashable value gets a code of its own.
+    """
+    index: Dict = {}
+    values: List = []
+    codes = []
+    for row in rel.tuples:
+        value = row[pos]
+        try:
+            code = index.setdefault((type(value), value), len(values))
+        except TypeError:
+            code = len(values)
+        if code == len(values):
+            values.append(value)
+        codes.append(code)
+    return np.array(codes, dtype=np.intp), values
+
+
+def _batched(algebra: Algebra):
+    """(dtype, times, leq) of the algebra on numpy arrays of degrees, entry
+    by entry the same as its scalar ``times`` and ``leq_holds``."""
+    if isinstance(algebra, FinitePomonoid):
+        times_table, leq_table = algebra.np_tables()
+        return np.intp, (lambda a, b: times_table[a, b]), (lambda a, b: leq_table[a, b])
+    if algebra.kind == "product":
+        return np.float64, np.multiply, np.less_equal
+    if algebra.kind == "min":
+        return np.float64, (lambda a, b: np.where(a <= b, a, b)), np.less_equal
+
+    def lukasiewicz(a, b):
+        s = a + b - 1.0
+        return np.where(s > 0.0, s, 0.0)
+
+    return np.float64, lukasiewicz, np.less_equal
+
+
+def _fold(times, unit: np.ndarray, degrees: Mapping[str, np.ndarray],
+          m: AttributeMultiset) -> np.ndarray:
+    """:func:`algebra.evaluate` over arrays of degrees, in its exact order:
+    each power starts at the unit, and so does the product of the powers."""
+    acc = unit
+    for name, mult in m.items():
+        power = unit
+        for _ in range(mult):
+            power = times(power, degrees[name])
+        acc = times(acc, power)
+    return acc
+
+
+def _tile_failure(
+    rel: RankedRelation, f: Mfd, coded: Mapping[str, Tuple[np.ndarray, List]], rows: range
+) -> Optional[Tuple[int, int]]:
+    """First failing pair with its row in ``rows``, row-major, or None.
+
+    Each attribute's similarity is called once per distinct pair of (tile
+    value, column value); the tile's degrees are gathered from those by the
+    codes.
+    """
+    algebra = rel.similarity.algebra
+    dtype, times, leq = _batched(algebra)
+    degrees = {}
+    for attr, (codes, values) in coded.items():
+        fn = rel.similarity.functions[attr]
+        local: Dict[int, int] = {}
+        tile = [local.setdefault(c, len(local)) for c in codes[rows.start : rows.stop].tolist()]
+        block = np.array([[fn(values[c], b) for b in values] for c in local])
+        if not np.can_cast(block.dtype, dtype, "safe"):
+            raise TypeError(f"{attr!r} has degrees of type {block.dtype} over {algebra!r}")
+        degrees[attr] = block.astype(dtype, copy=False)[np.array(tile)[:, None], codes]
+    unit = np.full((len(rows), len(rel.tuples)), algebra.unit, dtype=dtype)
+    holds = leq(_fold(times, unit, degrees, f.antecedent), _fold(times, unit, degrees, f.consequent))
+    if holds.all():
+        return None
+    i, j = divmod(int(np.argmin(holds)), len(rel.tuples))
+    return rows.start + i, j
+
+
+def _scan_failure(
+    rel: RankedRelation, f: Mfd, columns: List[Tuple[str, int]], rows: range
+) -> Optional[Tuple[int, int]]:
+    """:func:`_tile_failure` pair by pair with scalar evaluation."""
+    e = Evaluation(rel.similarity.algebra)
+    for i in rows:
+        for j in range(len(rel.tuples)):
+            if not satisfies(_pair_evaluation(rel, i, j, columns, e), f):
+                return i, j
+    return None
+
+
 def satisfies_relation(
     rel: RankedRelation, f: Mfd
 ) -> Tuple[bool, Optional[RelationViolation]]:
     """Check a dependency over all ordered row pairs, diagonal included.
 
     Returns (True, None) or (False, first violation in row-major order)
-    with both aggregated degrees.
+    with both aggregated degrees.  Rows are checked in tiles of about
+    ``_TILE_PAIRS`` pairs, so memory stays bounded at any size; within a
+    tile each similarity is called once per distinct pair of values.
     """
     columns = _columns(rel, sorted(f.variables))
-    e = Evaluation(rel.similarity.algebra)
+    coded = {attr: _code_column(rel, pos) for attr, pos in columns}
     n = len(rel.tuples)
-    for i in range(n):
-        for j in range(n):
-            _pair_evaluation(rel, i, j, columns, e)
-            if not satisfies(e, f):
-                da, db = evaluate(e, f.antecedent), evaluate(e, f.consequent)
-                return False, RelationViolation(f, i, j, da, db)
+    step = max(1, _TILE_PAIRS // max(n, 1))
+    for start in range(0, n, step):
+        rows = range(start, min(n, start + step))
+        try:
+            failure = _tile_failure(rel, f, coded, rows)
+        except Exception:
+            # A value a similarity cannot take, or a degree the algebra
+            # cannot hold: the pair scan decides whether a violation comes
+            # before the error, and raises it otherwise.
+            failure = _scan_failure(rel, f, columns, rows)
+        if failure is not None:
+            i, j = failure
+            e = _pair_evaluation(rel, i, j, columns, Evaluation(rel.similarity.algebra))
+            da, db = evaluate(e, f.antecedent), evaluate(e, f.consequent)
+            return False, RelationViolation(f, i, j, da, db)
     return True, None
 
 

@@ -267,6 +267,34 @@ class TestCheck:
         assert doc["violation"]["formula"] == "price -> loc"
         assert doc["violation"]["antecedent_degree"] == pytest.approx(0.8521, abs=5e-5)
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_finite_degrees_print_as_names(self, run, tmp_path, as_json):
+        # the chain 0 < h < 1: degrees are element indices inside, names outside
+        rel = tmp_path / "chain.json"
+        rel.write_text(json.dumps({
+            "algebra": {
+                "elements": ["0", "h", "1"], "unit": "1",
+                "leq": [[True, True, True], [False, True, True], [False, False, True]],
+                "times": [["0", "0", "0"], ["0", "0", "h"], ["0", "h", "1"]],
+            },
+            "scheme": ["x", "y"],
+            "similarity": {
+                "x": {"kind": "equality", "bottom": "0"},
+                "y": {"kind": "table", "labels": ["u", "v"], "values": [["1", "h"], ["h", "1"]]},
+            },
+            "tuples": [["t", "u"], ["t", "v"]],
+        }))
+        theory = tmp_path / "xy.theory"
+        theory.write_text("x -> y\n")
+        code, out, _ = run("check", str(rel), str(theory), *(["--json"] if as_json else []))
+        assert code == EXIT_REFUTED
+        if as_json:
+            violation = json.loads(out)["violation"]
+            assert violation["pair"] == [0, 1]
+            assert (violation["antecedent_degree"], violation["consequent_degree"]) == ("1", "h")
+        else:
+            assert out == "models: no\nviolation: x -> y at tuples (0, 1): 1 <= h fails\n"
+
     def test_seed_flag_accepted(self, run, data_dir):
         code, out, _ = run(
             "check",

@@ -21,6 +21,7 @@ from mfdlogic import (
     TOP,
     certificate_from_path,
     check_proof,
+    decide,
     derive_aug,
     derive_pro,
     derive_ref,
@@ -324,7 +325,7 @@ class TestCertificates:
 
     def test_deep_certificate(self):
         # 5000 alternating rewrites nest 5000 cuts deep, far past the
-        # interpreter's recursion limit; deep trees are compared by their text
+        # interpreter's recursion limit
         theory = parse_theory("p -> q\nq -> p")
         steps = []
         for k in range(5000):
@@ -335,4 +336,28 @@ class TestCertificates:
         text = format_proof(tree)
         parsed = parse_proof(text)
         assert format_proof(parsed) == text
+        assert parsed == tree
         assert check_proof(parsed, theory) == F("p -> p")
+
+    def test_deep_verdicts_compare_hash_and_print(self):
+        # the 1100-step counter nests 1100 cuts deep; a Cut's equality, hash
+        # and repr must not recurse down the tree
+        theory = parse_theory("a b -> b b")
+        query = F(" ".join(["a"] * 1100 + ["b"]) + " -> " + " ".join(["b"] * 1101))
+        v, w = decide(theory, query), decide(theory, query)
+        assert v == w and v.certificate is not w.certificate
+        assert hash(v.certificate) == hash(w.certificate)
+        assert repr(v).startswith("Proved(") and repr(v) == repr(w)
+        assert v.certificate != v.certificate.left
+
+    def test_shallow_repr_is_the_dataclass_one(self):
+        a, b = Hyp(F("p -> q")), AxInstance(M("p"), M("q"))
+        cut = Cut(a, Cut(b, a, F("p q -> q")), F("p -> q"))
+        assert repr(cut) == (
+            f"Cut(left={a!r}, right=Cut(left={b!r}, right={a!r}, "
+            f"conclusion={F('p q -> q')!r}), conclusion={F('p -> q')!r})"
+        )
+        assert cut == Cut(a, Cut(b, a, F("p q -> q")), F("p -> q"))
+        assert cut != Cut(a, Cut(b, b, F("p q -> q")), F("p -> q"))
+        assert cut != Cut(a, Cut(b, a, F("p q -> q")), F("p -> p"))
+        assert cut != a and a != cut

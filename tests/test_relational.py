@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from mfdlogic import (
     InvalidRelationError,
     Mfd,
     RankedRelation,
+    RelationViolation,
     SchemeMismatchError,
     SimilaritySpace,
     Theory,
@@ -31,6 +33,7 @@ from mfdlogic import (
     tuple_similarity,
     load_relation,
 )
+from mfdlogic import relational
 
 M = parse_multiset
 F = parse_mfd
@@ -176,8 +179,8 @@ class TestSatisfiesRelation:
 
 
 class TestAgainstPairScan:
-    """satisfies_relation against a brute-force tuple_similarity scan, on
-    random table similarities with multiplicities up to 3."""
+    """satisfies_relation against a brute-force tuple_similarity scan, with
+    multiplicities up to 3."""
 
     @staticmethod
     def first_violation(rel, f):
@@ -190,7 +193,23 @@ class TestAgainstPairScan:
                     return i, j, da, db
         return None
 
-    def check(self, rng, algebra, degrees, unit):
+    def check(self, rng, rel):
+        outcomes = set()
+        for _ in range(15):
+            sides = [
+                " ".join(a for a in rel.scheme for _ in range(rng.randint(0, 3))) or "1"
+                for _ in range(2)
+            ]
+            f = Mfd(parse_multiset(sides[0]), parse_multiset(sides[1]))
+            expected = self.first_violation(rel, f)
+            if expected is None:
+                assert satisfies_relation(rel, f) == (True, None)
+            else:
+                assert satisfies_relation(rel, f) == (False, RelationViolation(f, *expected))
+            outcomes.add(expected is None)
+        return outcomes
+
+    def check_tables(self, rng, algebra, degrees, unit):
         labels, scheme = ["x", "y", "z"], ("a", "b", "c")
         functions = {
             attr: builtin_similarity("table", algebra, {
@@ -201,23 +220,7 @@ class TestAgainstPairScan:
             for attr in scheme
         }
         rows = [[rng.choice(labels) for _ in scheme] for _ in range(rng.randint(1, 5))]
-        rel = RankedRelation(scheme, rows, SimilaritySpace(algebra, functions))
-        outcomes = set()
-        for _ in range(15):
-            sides = [
-                " ".join(a for a in scheme for _ in range(rng.randint(0, 3))) or "1"
-                for _ in range(2)
-            ]
-            f = Mfd(parse_multiset(sides[0]), parse_multiset(sides[1]))
-            ok, v = satisfies_relation(rel, f)
-            expected = self.first_violation(rel, f)
-            if expected is None:
-                assert ok and v is None
-            else:
-                assert not ok and v.formula == f
-                assert (v.i, v.j, v.antecedent_degree, v.consequent_degree) == expected
-            outcomes.add(ok)
-        return outcomes
+        return self.check(rng, RankedRelation(scheme, rows, SimilaritySpace(algebra, functions)))
 
     @pytest.mark.parametrize("kind", ["product", "min", "lukasiewicz"])
     def test_unit_interval(self, kind):
@@ -225,7 +228,7 @@ class TestAgainstPairScan:
         algebra = builtin_algebra(kind)
         outcomes = set()
         for _ in range(30):
-            outcomes |= self.check(rng, algebra, [0.0, 0.25, 0.5, 0.7, 0.9, 1.0], 1.0)
+            outcomes |= self.check_tables(rng, algebra, [0.0, 0.25, 0.5, 0.7, 0.9, 1.0], 1.0)
         assert outcomes == {True, False}
 
     def test_enumerated_finite(self):
@@ -234,8 +237,83 @@ class TestAgainstPairScan:
         for algebra in enumerate_pomonoids(4):
             for _ in range(5):
                 names = algebra.element_names
-                outcomes |= self.check(rng, algebra, names, names[algebra.unit])
+                outcomes |= self.check_tables(rng, algebra, names, names[algebra.unit])
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("kind", ["product", "min", "lukasiewicz"])
+    def test_exp_euclidean(self, kind):
+        # equal ints and floats (2 and 2.0) in one column, scalars and vector2
+        rng = random.Random(f"exp:{kind}")
+        algebra = builtin_algebra(kind)
+        outcomes = set()
+        for _ in range(20):
+            fn = builtin_similarity("exp_euclidean", algebra, {"c": rng.choice([-1, 0, 1])})
+
+            def number():
+                return rng.choice([0, 1, 2, 2.0, 2.5, 3, rng.randint(0, 9), rng.uniform(0, 9)])
+
+            rows = [[number(), number(), (number(), number())]
+                    for _ in range(rng.randint(1, 12))]
+            rel = RankedRelation(("a", "b", "v"), rows,
+                                 SimilaritySpace(algebra, {a: fn for a in ("a", "b", "v")}))
+            outcomes |= self.check(rng, rel)
+        assert outcomes == {True, False}
+
+    def test_lambda_similarity(self):
+        rng = random.Random("pairs:lambda")
+        algebra = builtin_algebra("product")
+        functions = {"a": lambda x, y: 1.0 / (1.0 + abs(x - y)), "b": lambda x, y: 1.0 if x == y else 0.5}
+        outcomes = set()
+        for _ in range(20):
+            rows = [[rng.choice([0, 1, 1.5, 4]), rng.choice("pq")] for _ in range(rng.randint(1, 8))]
+            outcomes |= self.check(rng, RankedRelation(("a", "b"), rows, SimilaritySpace(algebra, functions)))
+        assert outcomes == {True, False}
+
+    def test_violation_in_a_later_tile(self):
+        # rows from 100 on share a, and b parts rows 100 and 101: the first
+        # failing pair is (100, 101), several tiles into the table
+        n = 130
+        algebra = builtin_algebra("product")
+        fn = builtin_similarity("exp_euclidean", algebra, {"c": 0})
+        rows = [(100 + k, 100 + k) if k < 100 else (5, 5) for k in range(n)]
+        rows[101] = (5, 6)
+        rel = RankedRelation(("a", "b"), rows, SimilaritySpace(algebra, {"a": fn, "b": fn}))
+        assert 100 >= 3 * (relational._TILE_PAIRS // n)
+        f = F("a -> b")
+        assert satisfies_relation(rel, f) == (False, RelationViolation(f, *self.first_violation(rel, f)))
+        assert satisfies_relation(rel, f)[1].i == 100
+
+    def test_violation_before_a_misplaced_vector(self):
+        algebra = builtin_algebra("product")
+        fn = builtin_similarity("exp_euclidean", algebra, {"c": 0})
+        rel = RankedRelation(("a", "b"), [(0, 0), (0, 5), ((1, 2), 0)],
+                             SimilaritySpace(algebra, {"a": fn, "b": fn}))
+        f = F("a -> b")
+        assert satisfies_relation(rel, f) == (False, RelationViolation(f, *self.first_violation(rel, f)))
+        violation = satisfies_relation(rel, f)[1]
+        assert (violation.i, violation.j) == (0, 1)
+
+    def test_misplaced_vector_before_a_violation(self):
+        algebra = builtin_algebra("product")
+        fn = builtin_similarity("exp_euclidean", algebra, {"c": 0})
+        rel = RankedRelation(("a", "b"), [(0, 0), ((1, 2), 5), (0, 5)],
+                             SimilaritySpace(algebra, {"a": fn, "b": fn}))
+        with pytest.raises(InvalidRelationError, match="exp_euclidean needs two numbers"):
+            satisfies_relation(rel, F("a -> b"))
+
+    def test_memory_stays_bounded(self):
+        # a full n x n float64 matrix at 1500 rows would take 18 MB
+        algebra = builtin_algebra("product")
+        fn = builtin_similarity("exp_euclidean", algebra, {"c": 1})
+        rows = [(k % 10, k % 10) for k in range(1500)]
+        rel = RankedRelation(("a", "b"), rows, SimilaritySpace(algebra, {"a": fn, "b": fn}))
+        tracemalloc.start()
+        try:
+            assert satisfies_relation(rel, F("a a -> b")) == (True, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 # ============================================================
