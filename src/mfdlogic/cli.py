@@ -31,6 +31,8 @@ from .formula import (
     Mfd,
     TheoryParseError,
     Theory,
+    _IDENT_RE,
+    _RESERVED,
     booleanize,
     format_mfd,
     format_multiset,
@@ -69,17 +71,23 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=range(1, cap + 1),
                        help=f"largest algebra size tried, 1..{cap} (default 5)")
 
-    def add_budgets(p):
-        p.add_argument("--budget-bfs", type=int, default=100_000, metavar="N",
-                       help="BFS node limit, contracting theories only (default 100000)")
-        p.add_argument("--budget-models", type=int, default=1_000_000, metavar="N",
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+        return value
+
+    def add_budget_models(p):
+        p.add_argument("--budget-models", type=count, default=1_000_000, metavar="N",
                        help="countermodel evaluation limit (default 1000000)")
         add_max_size(p)
 
     p = sub.add_parser("decide", help="prove or refute a dependency")
     p.add_argument("theory", help="theory file")
     p.add_argument("query", help="dependency, e.g. 'p p -> q q'")
-    add_budgets(p)
+    p.add_argument("--budget-bfs", type=count, default=100_000, metavar="N",
+                   help="BFS node limit, contracting theories only (default 100000)")
+    add_budget_models(p)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("member", help="membership for non-contracting theories")
@@ -98,8 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("countermodel", help="search for a refuting model only")
     p.add_argument("theory")
     p.add_argument("query")
-    p.add_argument("--budget-models", type=int, default=1_000_000, metavar="N")
-    add_max_size(p)
+    add_budget_models(p)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classify", help="per-formula structure report")
@@ -128,6 +135,11 @@ def _evaluation_to_json(e: alg.Evaluation) -> dict:
     return {attr: e.degree_name(attr) for attr in sorted(e.assignment)}
 
 
+# the "budget" object of an Unknown verdict, in output order
+_BUDGET_KEYS = ("bfs_nodes_used", "bfs_exhausted", "model_evals_used",
+                "algebras_scanned", "models_exhausted")
+
+
 def verdict_to_json(v: entail.Verdict) -> dict:
     """Structural JSON form of a verdict; inverse of verdict_from_json."""
     if isinstance(v, entail.Proved):
@@ -154,18 +166,8 @@ def verdict_to_json(v: entail.Verdict) -> dict:
             doc["evaluation"] = _evaluation_to_json(v.evaluation)
         return doc
     if isinstance(v, entail.Unknown):
-        r = v.report
-        return {
-            "verdict": "unknown",
-            "query": format_mfd(v.query),
-            "budget": {
-                "bfs_nodes_used": r.bfs_nodes_used,
-                "bfs_exhausted": r.bfs_exhausted,
-                "model_evals_used": r.model_evals_used,
-                "algebras_scanned": r.algebras_scanned,
-                "models_exhausted": r.models_exhausted,
-            },
-        }
+        budget = {key: getattr(v.report, key) for key in _BUDGET_KEYS}
+        return {"verdict": "unknown", "query": format_mfd(v.query), "budget": budget}
     raise TypeError(f"not a verdict: {v!r}")
 
 
@@ -201,17 +203,8 @@ def verdict_from_json(doc: dict) -> entail.Verdict:
             )
         return entail.Refuted(query, doc["method"], algebra, evaluation)
     if kind == "unknown":
-        b = doc["budget"]
-        return entail.Unknown(
-            query,
-            entail.BudgetReport(
-                bfs_nodes_used=b["bfs_nodes_used"],
-                bfs_exhausted=b["bfs_exhausted"],
-                model_evals_used=b["model_evals_used"],
-                algebras_scanned=b["algebras_scanned"],
-                models_exhausted=b["models_exhausted"],
-            ),
-        )
+        report = entail.BudgetReport(**{key: doc["budget"][key] for key in _BUDGET_KEYS})
+        return entail.Unknown(query, report)
     raise ValueError(f"unknown verdict kind {kind!r}")
 
 
@@ -393,6 +386,9 @@ def _cmd_classify(args) -> int:
 def _cmd_boolify(args) -> int:
     theory = _read_theory(args.theory)
     extra = [v.strip() for v in args.extra_vars.split(",") if v.strip()]
+    for name in extra:
+        if not _IDENT_RE.match(name) or name in _RESERVED:
+            raise _UsageError(f"--extra-vars: {name!r} is not an attribute name")
     result = booleanize(theory, extra)
     if args.json:
         print(json.dumps({"formulas": [format_mfd(f) for f in result]}, indent=2))

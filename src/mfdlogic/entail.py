@@ -10,15 +10,16 @@ two, except when the theory is non-contracting: there the member procedure
 answers yes or no outright, and a yes is certified from the rule firings of
 its own saturation run, with no search at all.
 
-Both searches are budgeted; when neither side settles the verdict is
-Unknown and carries the spent budgets.  Proofs found are always re-checked
-and countermodels re-evaluated through the plain scalar semantics before
-being reported.
+The BFS, the saturation and the path extraction rewrite count tuples over
+one compiled theory (``formula._CountVectors``), and one replay turns the
+fired rules into a :class:`RewritePath`.  Both searches are budgeted; when
+neither side settles the verdict is Unknown and carries the spent budgets.
+Proofs found are always re-checked and countermodels re-evaluated through
+the plain scalar semantics before being reported.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -29,6 +30,7 @@ from .formula import (
     AttributeMultiset,
     Mfd,
     Theory,
+    _CountVectors,
     divides,
     is_non_contracting_theory,
 )
@@ -138,25 +140,30 @@ def rewrite_successors(
     return out
 
 
-def _walk_back(
-    start: AttributeMultiset,
-    end: tuple,
-    parents: dict,
-    names: Sequence[str],
-) -> RewritePath:
-    def unvec(state: tuple) -> AttributeMultiset:
-        return AttributeMultiset({n: c for n, c in zip(names, state) if c})
+def _universe(theory: Theory, query: Mfd) -> List[str]:
+    """The attributes that rewriting and evaluation range over, sorted."""
+    return sorted(theory.variables | query.variables)
 
-    steps = []
+
+def _replay(space: _CountVectors, start: AttributeMultiset, rules: Sequence[tuple]) -> RewritePath:
+    """The path firing the compiled ``rules`` of ``space`` in turn from ``start``."""
+    w, steps = space.vec(start), []
+    for f, ant, gain in rules:
+        remainder = space.unvec(tuple(c - a for c, a in zip(w, ant)))
+        w = tuple(c + g for c, g in zip(w, gain))
+        steps.append(RewriteStep(f, remainder, space.unvec(w)))
+    return RewritePath(start, tuple(steps))
+
+
+def _walk_back(
+    start: AttributeMultiset, end: tuple, parents: dict, space: _CountVectors
+) -> RewritePath:
+    fired = []
     cur = end
     while parents[cur] is not None:
-        rule, delta = parents[cur]
-        prev = tuple(c - d for c, d in zip(cur, delta))
-        remainder = divides(rule.antecedent, unvec(prev))
-        steps.append(RewriteStep(rule, remainder, unvec(cur)))
-        cur = prev
-    steps.reverse()
-    return RewritePath(start, tuple(steps))
+        fired.append(parents[cur])
+        cur = tuple(c - g for c, g in zip(cur, parents[cur][2]))
+    return _replay(space, start, fired[::-1])
 
 
 def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
@@ -165,50 +172,33 @@ def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
     Yields ("layer", nodes) after each finished depth, then exactly one of
     ("proved", path), ("exhausted", nodes) or ("budget", nodes).
 
-    States are count tuples over the fixed variable universe of the theory
-    and query; rewriting cannot introduce attributes outside it.  Counts
-    stay far below the multiset cap for any storable number of nodes.
+    States are count tuples over the universe of theory and query.  Each
+    node's parent entry is the compiled rule that first reached it, so the
+    predecessor is the node minus that rule's gain.  Counts stay far below
+    the multiset cap for any storable number of nodes.
     """
     start = query.antecedent
-    goal = query.consequent
-    rules = theory.distinct_formulas()
     if budget < 1:
         yield ("budget", 0)
         return
-    names = sorted(set(theory.variables) | set(query.variables))
-    index = {n: i for i, n in enumerate(names)}
-    width = len(names)
-
-    def vec(m: AttributeMultiset) -> tuple:
-        row = [0] * width
-        for n, c in m.items():
-            row[index[n]] = c
-        return tuple(row)
-
-    start_v = vec(start)
-    goal_v = vec(goal)
-    # Each node's parent entry is its rule's shared (rule, delta) pair; the
-    # predecessor is recovered as node - delta when walking back.
-    compiled = []
-    for f in rules:
-        ant = vec(f.antecedent)
-        con = vec(f.consequent)
-        delta = tuple(c - a for a, c in zip(ant, con))
-        compiled.append((ant, delta, (f, delta)))
+    space = _CountVectors(_universe(theory, query), theory.distinct_formulas())
+    start_v = space.vec(start)
+    goal_v = space.vec(query.consequent)
 
     parents: dict = {start_v: None}
     nodes = 1
     if all(g <= w for g, w in zip(goal_v, start_v)):
-        yield ("proved", _walk_back(start, start_v, parents, names))
+        yield ("proved", _walk_back(start, start_v, parents, space))
         return
     frontier = [start_v]
     while frontier:
         next_frontier = []
         for w in frontier:
-            for ant, delta, entry in compiled:
+            for entry in space.rules:
+                _, ant, gain = entry
                 if any(a > c for a, c in zip(ant, w)):
                     continue
-                nxt = tuple(c + d for c, d in zip(w, delta))
+                nxt = tuple(c + g for c, g in zip(w, gain))
                 if nxt in parents:
                     continue
                 if nodes >= budget:
@@ -217,7 +207,7 @@ def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
                 parents[nxt] = entry
                 nodes += 1
                 if all(g <= c for g, c in zip(goal_v, nxt)):
-                    yield ("proved", _walk_back(start, nxt, parents, names))
+                    yield ("proved", _walk_back(start, nxt, parents, space))
                     return
                 next_frontier.append(nxt)
         yield ("layer", nodes)
@@ -311,7 +301,7 @@ def _countermodel_engine(
     algebra, then one of ("refuted", algebra, evaluation, evals, scanned),
     ("budget", evals, scanned) or ("exhausted", evals, scanned).
     """
-    variables = sorted(set(theory.variables) | set(query.variables))
+    variables = _universe(theory, query)
     formulas = theory.distinct_formulas()
     evals_used = 0
     scanned = 0
@@ -395,25 +385,19 @@ def _saturation_path(theory: Theory, query: Mfd) -> RewritePath:
     walk stops once A covers D.  Rules of a non-contracting theory never
     consume E, so every kept firing still applies when replayed from A.
     """
-    def counts(m: AttributeMultiset) -> Counter:
-        return Counter(dict(m.items()))
-
+    space = _CountVectors(_universe(theory, query), theory.distinct_formulas())
+    compiled = {entry[0]: entry for entry in space.rules}
     # the last firing is the marker rule's
     fired = [f for p in member_trace(theory, query).passes for f in p.fired][:-1]
-    have, demand, kept = counts(query.antecedent), counts(query.consequent), []
+    have, demand, kept = space.vec(query.antecedent), space.vec(query.consequent), []
     for f in reversed(fired):
-        if not demand - have:
+        if all(d <= h for d, h in zip(demand, have)):
             break
-        gain = counts(f.consequent) - counts(f.antecedent)
-        if gain & demand:
-            kept.append(f)
-            demand = (demand - gain) | counts(f.antecedent)
-    w, steps = query.antecedent, []
-    for f in reversed(kept):
-        x = divides(f.antecedent, w)
-        w = f.consequent.union(x)
-        steps.append(RewriteStep(f, x, w))
-    return RewritePath(query.antecedent, tuple(steps))
+        _, ant, gain = compiled[f]
+        if any(g > 0 and d > 0 for g, d in zip(gain, demand)):
+            kept.append(compiled[f])
+            demand = tuple(max(d - g, a) for d, g, a in zip(demand, gain, ant))
+    return _replay(space, query.antecedent, kept[::-1])
 
 
 def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:

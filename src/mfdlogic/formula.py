@@ -228,6 +228,28 @@ def divides(e: AttributeMultiset, w: AttributeMultiset) -> Optional[AttributeMul
     return AttributeMultiset._raw(remainder)
 
 
+class _CountVectors:
+    """Multisets as count tuples over one sorted attribute index, for the
+    rewrite engines.  Each rule is compiled once into ``(formula, antecedent
+    counts, consequent - antecedent counts)``: it applies to W when the
+    antecedent fits under W and yields W plus the difference.  ``unvec``
+    validates, so a state leaving an engine still respects the cap."""
+
+    def __init__(self, names: Iterable[str], formulas: Iterable[Mfd]):
+        self.names = tuple(sorted(names))
+        rules = []
+        for f in formulas:
+            ant = self.vec(f.antecedent)
+            rules.append((f, ant, tuple(c - a for a, c in zip(ant, self.vec(f.consequent)))))
+        self.rules = tuple(rules)
+
+    def vec(self, m: AttributeMultiset) -> Tuple[int, ...]:
+        return tuple(m[name] for name in self.names)
+
+    def unvec(self, state: Tuple[int, ...]) -> AttributeMultiset:
+        return AttributeMultiset(zip(self.names, state))
+
+
 # =====================================================================
 # Dependencies and theories
 # =====================================================================

@@ -9,20 +9,23 @@ marker is a fresh attribute y together with the extra rule ``B -> B y``.
 The saturation is bounded: the working multiset can strictly grow at most
 once per unit of antecedent material across the rules, so the pass counter
 starts at the total antecedent size and the loop stops when a pass changes
-nothing, the counter runs out, or the marker shows up.  The full trace is
-recorded for inspection.
+nothing, the counter runs out, or the marker shows up.  The loop runs on
+count tuples over the attributes of theory and query plus a column for y,
+with the rules compiled once (``formula._CountVectors``); each pass's
+snapshot is turned back into a multiset for the recorded trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Tuple
 
 from .formula import (
     AttributeMultiset,
     Mfd,
     Theory,
-    divides,
+    _CountVectors,
     format_mfd,
     is_non_contracting,
     singleton,
@@ -68,14 +71,6 @@ class MemberTrace:
         return len(self.passes)
 
 
-def _fresh_variable(theory: Theory, query: Mfd) -> str:
-    used = set(theory.variables) | set(query.variables)
-    i = 0
-    while f"_y{i}" in used:
-        i += 1
-    return f"_y{i}"
-
-
 def member_trace(theory: Theory, query: Mfd) -> MemberTrace:
     """Run the saturation and return the full trace.
 
@@ -87,26 +82,28 @@ def member_trace(theory: Theory, query: Mfd) -> MemberTrace:
         if not is_non_contracting(f):
             raise ContractingTheoryError(f)
 
-    y = _fresh_variable(theory, query)
+    used = theory.variables | query.variables
+    y = next(f"_y{i}" for i in count() if f"_y{i}" not in used)
     marker_rule = Mfd(query.consequent, query.consequent.union(singleton(y)))
     delta = theory.distinct_formulas() + (marker_rule,)
+    space = _CountVectors(used | {y}, delta)
+    marker = space.names.index(y)
 
-    w = query.antecedent
+    w = space.vec(query.antecedent)
     n = sum(f.antecedent.total for f in delta)
     passes = []
     while True:
         last = w
         fired = []
-        for f in delta:
-            x = divides(f.antecedent, w)
-            if x is not None:
-                w = f.consequent.union(x)
+        for f, ant, gain in space.rules:
+            if all(a <= c for a, c in zip(ant, w)):
+                w = tuple(c + g for c, g in zip(w, gain))
                 fired.append(f)
         n -= 1
-        passes.append(MemberPass(w, tuple(fired)))
-        if last == w or n <= 0 or w[y] > 0:
+        passes.append(MemberPass(space.unvec(w), tuple(fired)))
+        if last == w or n <= 0 or w[marker] > 0:
             break
-    return MemberTrace(query, y, tuple(passes), n, w[y] > 0)
+    return MemberTrace(query, y, tuple(passes), n, w[marker] > 0)
 
 
 def member(theory: Theory, query: Mfd) -> bool:

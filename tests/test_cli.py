@@ -101,7 +101,7 @@ class TestDecide:
         assert set(doc["path"]["steps"][0]) == {"rule", "remainder", "result"}
         verdict = verdict_from_json(doc)
         assert isinstance(verdict, Proved)
-        theory = parse_theory(open(theory_file).read())
+        theory = parse_theory((data_dir / "needs_nonlinear.theory").read_text())
         assert check_proof(verdict.certificate, theory) == parse_mfd("p p -> q q")
 
     def test_json_refuted_round_trip(self, run, data_dir):
@@ -361,9 +361,7 @@ class TestCountermodel:
         doc = json.loads(out)
         assert len(doc["algebra"]["elements"]) == 5
         verdict = verdict_from_json(doc)
-        theory = parse_theory(
-            open(theory_path(data_dir, "needs_nonlinear.theory")).read()
-        )
+        theory = parse_theory((data_dir / "needs_nonlinear.theory").read_text())
         assert is_model(verdict.evaluation, theory)
         assert not satisfies(verdict.evaluation, parse_mfd("p -> q"))
 
@@ -419,6 +417,16 @@ class TestBoolify:
         )
         doc = json.loads(out)
         assert doc["formulas"][2:] == ["p -> p p", "q -> q q", "r -> r r"]
+
+    @pytest.mark.parametrize("name", ["x y", "1", "top", "_y0", "x-y", "9a"])
+    def test_extra_vars_must_be_attribute_names(self, run, data_dir, name):
+        # each would print a law that reparses differently or not at all
+        code, out, err = run(
+            "boolify", theory_path(data_dir, "no_additivity.theory"),
+            "--extra-vars", f"z,{name}",
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and err
 
 
 # ============================================================
@@ -539,6 +547,28 @@ class TestErrors:
         )
         assert code == EXIT_USAGE
         assert "--max-size" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [("decide", "--budget-bfs"), ("decide", "--budget-models"),
+         ("countermodel", "--budget-models")],
+    )
+    def test_negative_budget(self, run, data_dir, command, option):
+        # a negative budget used to answer Unknown after searching nothing
+        code, out, err = run(
+            command, theory_path(data_dir, "no_additivity.theory"), "p -> q r",
+            option, "-3",
+        )
+        assert code == EXIT_USAGE
+        assert option in err and out == ""
+
+    def test_zero_budgets_are_valid(self, run, data_dir):
+        code, out, _ = run(
+            "decide", theory_path(data_dir, "no_additivity.theory"), "p -> q r",
+            "--budget-bfs", "0", "--budget-models", "0",
+        )
+        assert code == EXIT_UNKNOWN
+        assert "searched 0 proof nodes" in out
 
     def test_invalid_algebra_json(self, run, tmp_path):
         bad = tmp_path / "alg.json"

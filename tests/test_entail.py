@@ -1,5 +1,7 @@
 """Proof search, countermodel search, and the combined decision procedure."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -30,6 +32,7 @@ from mfdlogic import (
     format_multiset,
     format_proof,
     is_model,
+    is_non_contracting_theory,
     member,
     parse_mfd,
     parse_multiset,
@@ -38,8 +41,11 @@ from mfdlogic import (
     rewrite_successors,
     satisfies,
 )
-from mfdlogic import entail
+from mfdlogic import entail, formula
+from mfdlogic.cli import verdict_to_json
 from mfdlogic.entail import _digits
+from mfdlogic.formula import MultiplicityOverflowError
+from mfdlogic.member import member_trace
 
 M = parse_multiset
 F = parse_mfd
@@ -434,6 +440,31 @@ class TestSaturationProofs:
         assert seen["Proved"] >= 100 and seen["Refuted"] >= 100
 
 
+class TestMultiplicityCap:
+    """States are count tuples inside the engines; the cap is enforced when
+    one leaves as a multiset, so a lowered cap still stops every engine."""
+
+    def test_lowered_cap_raises(self, monkeypatch):
+        growing, query = parse_theory("p -> p p"), F("p p p -> q")
+        contracting = parse_theory("p -> p p\np p p p -> q")
+        monkeypatch.setattr(formula, "MULTIPLICITY_CAP", 3)
+        with pytest.raises(MultiplicityOverflowError):
+            member_trace(growing, query)
+        with pytest.raises(MultiplicityOverflowError):
+            decide(growing, query)
+        with pytest.raises(MultiplicityOverflowError):
+            entail._saturation_path(growing, F("p p p -> p p p p"))
+        with pytest.raises(MultiplicityOverflowError):
+            bfs_prove(contracting, query)
+
+    def test_at_the_cap_is_fine(self, monkeypatch):
+        growing, query = parse_theory("p -> p p"), F("p p -> p p p")
+        monkeypatch.setattr(formula, "MULTIPLICITY_CAP", 3)
+        assert member_trace(growing, query).result
+        assert isinstance(decide(growing, query), Proved)
+        assert isinstance(bfs_prove(growing, query), Proved)
+
+
 # ============================================================
 # Local deduction
 # ============================================================
@@ -503,3 +534,52 @@ class TestClassicalEntails:
             assert classical_entails(theory, query) == expected
             hits += expected
         assert 0 < hits < 50
+
+
+# ============================================================
+# Pinned engine output
+# ============================================================
+
+
+def _pinned_cases():
+    """Seeded small theories, every other one non-contracting, each with a
+    query and one of a few budget mixes (zero budgets included)."""
+    rng = random.Random(2718)
+    names = ("a", "b", "c")
+    mixes = (Budgets(0, 0, 1), Budgets(1, 10, 2), Budgets(40, 500, 2),
+             Budgets(400, 5_000, 3), Budgets(3_000, 20_000, 3))
+    for i in range(200):
+        formulas = []
+        for _ in range(rng.randint(1, 3)):
+            ant = rand_multiset(rng, names, 2)
+            extra = rand_multiset(rng, names, 2)
+            formulas.append(Mfd(ant, ant.union(extra) if i % 2 == 0 else extra))
+        query = Mfd(rand_multiset(rng, names, 3), rand_multiset(rng, names, 3))
+        yield Theory(tuple(formulas)), query, mixes[rng.randrange(len(mixes))]
+
+
+class TestPinnedOutput:
+    """Every engine's output on a fixed corpus, pinned by one digest.
+
+    The digest covers each ``decide`` verdict as ``verdict_to_json`` writes
+    it (paths, certificates, countermodels, budget reports) and, for the
+    non-contracting theories, every pass of ``member_trace``.  A change to
+    any engine's output shows up here even where the verdict kind stays."""
+
+    DIGEST = "ef05e16555798519b4863034044b789bae67c2665f438e3f19d94e35c434f171"
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        kinds = Counter()
+        for theory, query, budgets in _pinned_cases():
+            verdict = decide(theory, query, budgets)
+            kinds[type(verdict).__name__, getattr(verdict, "method", "")] += 1
+            h.update(json.dumps(verdict_to_json(verdict), sort_keys=True).encode())
+            if is_non_contracting_theory(theory):
+                t = member_trace(theory, query)
+                h.update(repr((t.fresh_var, t.counter_final, t.result)).encode())
+                for p in t.passes:
+                    h.update(format_multiset(p.snapshot).encode())
+                    h.update("|".join(map(format_mfd, p.fired)).encode())
+        assert len(kinds) == 4 and min(kinds.values()) >= 15, kinds
+        assert h.hexdigest() == self.DIGEST, h.hexdigest()
