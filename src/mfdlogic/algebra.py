@@ -79,6 +79,16 @@ class InvalidAlgebraError(ValueError):
 # =====================================================================
 
 
+def _square(label: str, table: Sequence[Sequence[int]], n: int) -> Tuple[Tuple[int, ...], ...]:
+    """``table`` as an n x n tuple of element indices, each in range."""
+    rows = tuple(tuple(int(v) for v in row) for row in table)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"{label} table must be {n}x{n}")
+    if any(not (0 <= v < n) for row in rows for v in row):
+        raise ValueError(f"{label} table entry out of range")
+    return rows
+
+
 class FinitePomonoid:
     """An integral commutative pomonoid on elements 0..size-1.
 
@@ -105,18 +115,12 @@ class FinitePomonoid:
             raise ValueError("element names must be distinct")
         if not (0 <= unit < n):
             raise ValueError(f"unit index {unit} out of range")
-        leq = tuple(tuple(bool(v) for v in row) for row in leq_table)
-        times = tuple(tuple(int(v) for v in row) for row in times_table)
-        if len(leq) != n or any(len(row) != n for row in leq):
+        self.leq_table = tuple(tuple(bool(v) for v in row) for row in leq_table)
+        if len(self.leq_table) != n or any(len(row) != n for row in self.leq_table):
             raise ValueError(f"leq table must be {n}x{n}")
-        if len(times) != n or any(len(row) != n for row in times):
-            raise ValueError(f"times table must be {n}x{n}")
-        if any(not (0 <= v < n) for row in times for v in row):
-            raise ValueError("times table entry out of range")
         self.element_names = names
         self.unit = int(unit)
-        self.leq_table = leq
-        self.times_table = times
+        self.times_table = _square("times", times_table, n)
         self._np = None
 
     def __setattr__(self, name: str, value) -> None:
@@ -234,16 +238,10 @@ class FiniteResiduatedLattice(FinitePomonoid):
         n = self.size
         if not (0 <= bottom < n):
             raise ValueError(f"bottom index {bottom} out of range")
-        tables = []
-        for label, table in (("meet", meet_table), ("join", join_table), ("residuum", residuum_table)):
-            rows = tuple(tuple(int(v) for v in row) for row in table)
-            if len(rows) != n or any(len(row) != n for row in rows):
-                raise ValueError(f"{label} table must be {n}x{n}")
-            if any(not (0 <= v < n) for row in rows for v in row):
-                raise ValueError(f"{label} table entry out of range")
-            tables.append(rows)
         self.bottom = int(bottom)
-        self.meet_table, self.join_table, self.residuum_table = tables
+        self.meet_table = _square("meet", meet_table, n)
+        self.join_table = _square("join", join_table, n)
+        self.residuum_table = _square("residuum", residuum_table, n)
 
     def meet(self, a: int, b: int) -> int:
         return self.meet_table[a][b]
@@ -478,9 +476,12 @@ def is_model(e: Evaluation, theory: Theory) -> bool:
 # those are canonicalized and sorted.  Multiplication tables are then filled
 # in row-major cell order by backtracking: each entry must sit below both
 # arguments (integrality), respect monotonicity against the cells already
-# chosen, and pass associativity; the unit row is fixed.  The relabelings
-# that reach a canonical matrix are exactly its order automorphisms, and
-# tables related by one of them are emitted once.
+# chosen, and pass associativity on the triples determined so far; the unit
+# row is fixed.  These checks only prune: a complete table is kept exactly
+# when :func:`validate` finds no violation.  The relabelings that reach a
+# canonical matrix are exactly its order automorphisms; relabeling by one
+# keeps a table valid or invalid, so the first table of each class is
+# validated and, if it passes, emitted.
 
 
 def _canonical_order(
@@ -598,21 +599,9 @@ def _fill_times_tables(
                     return False
         return True
 
-    def complete_ok() -> bool:
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                for c in range(n):
-                    if table[ab][c] != table[a][table[b][c]]:
-                        return False
-                    if leq[a][b] and not leq[table[a][c]][table[b][c]]:
-                        return False
-        return True
-
     def search(pos: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
         if pos == len(cells):
-            if complete_ok():
-                yield tuple(tuple(row) for row in table)
+            yield tuple(tuple(row) for row in table)
             return
         i, j = cells[pos]
         for v in candidates[(i, j)]:
@@ -665,7 +654,9 @@ def _pomonoids_of_size(n: int) -> Tuple[FinitePomonoid, ...]:
             if canon in seen_tables:
                 continue
             seen_tables.add(canon)
-            out.append(FinitePomonoid(names, unit, leq, times))
+            algebra = FinitePomonoid(names, unit, leq, times)
+            if not validate(algebra):
+                out.append(algebra)
     return tuple(out)
 
 
@@ -812,4 +803,7 @@ def load_algebra(source: str) -> Algebra:
     if source in BUILTIN_ALGEBRA_NAMES:
         return builtin_algebra(source)
     with open(source, "r", encoding="utf-8") as fh:
-        return algebra_from_json(json.load(fh))
+        try:
+            return algebra_from_json(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise InvalidAlgebraError(f"invalid JSON in {source}: {exc}") from exc

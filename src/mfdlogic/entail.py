@@ -170,7 +170,8 @@ def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
     """Layered BFS from the query antecedent.
 
     Yields ("layer", nodes) after each finished depth, then exactly one of
-    ("proved", path), ("exhausted", nodes) or ("budget", nodes).
+    ("proved", path), ("exhausted", nodes) or ("budget", nodes).  A start
+    that already covers the goal is proved by the empty path at any budget.
 
     States are count tuples over the universe of theory and query.  Each
     node's parent entry is the compiled rule that first reached it, so the
@@ -178,18 +179,18 @@ def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
     the multiset cap for any storable number of nodes.
     """
     start = query.antecedent
-    if budget < 1:
-        yield ("budget", 0)
-        return
     space = _CountVectors(_universe(theory, query), theory.distinct_formulas())
     start_v = space.vec(start)
     goal_v = space.vec(query.consequent)
 
     parents: dict = {start_v: None}
-    nodes = 1
     if all(g <= w for g, w in zip(goal_v, start_v)):
         yield ("proved", _walk_back(start, start_v, parents, space))
         return
+    if budget < 1:
+        yield ("budget", 0)
+        return
+    nodes = 1
     frontier = [start_v]
     while frontier:
         next_frontier = []
@@ -429,17 +430,21 @@ def deduction_witness(
     b: AttributeMultiset,
     n_max: int,
     budgets: Budgets = Budgets(),
-) -> Optional[int]:
-    """Least n <= n_max with theory proving A^n -> B, if any.
+) -> Union[int, Unknown, None]:
+    """Least n <= n_max with theory proving A^n -> B; None if there is none.
 
     This is the local deduction property: adding the hypothesis
     ``1 -> A`` proves ``1 -> B`` exactly when some finite power of A
-    already implies B.
+    already implies B.  As A^n -> B gives A^(n+1) -> B, the first n not
+    shown unprovable (refuted, or its rewrite graph exhausted) settles the
+    answer: n if proved, else its Unknown verdict with the spent budgets.
     """
     for n in range(n_max + 1):
         verdict = decide(theory, Mfd(a.power(n), b), budgets)
         if isinstance(verdict, Proved):
             return n
+        if isinstance(verdict, Unknown) and not verdict.report.bfs_exhausted:
+            return verdict
     return None
 
 

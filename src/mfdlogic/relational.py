@@ -29,6 +29,7 @@ from .algebra import (
     Algebra,
     Evaluation,
     FinitePomonoid,
+    InvalidAlgebraError,
     UnitIntervalPomonoid,
     algebra_from_json,
     builtin_algebra,
@@ -382,8 +383,12 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
     if kind == "equality":
         unit = algebra.unit
         bottom = params["bottom"]
-        if isinstance(algebra, FinitePomonoid) and isinstance(bottom, str):
-            bottom = algebra.index_of(bottom)
+        if isinstance(algebra, FinitePomonoid):
+            bottom = algebra.index_of(bottom) if isinstance(bottom, str) else bottom
+            if type(bottom) is not int or bottom not in algebra.elements():
+                raise InvalidRelationError(f"equality bottom {bottom!r} is not an element index")
+        elif type(bottom) not in (int, float) or not 0 <= bottom <= 1:
+            raise InvalidRelationError(f"equality bottom {bottom!r} is not a degree in [0, 1]")
 
         def eq_fn(a, b):
             return unit if a == b else bottom
@@ -464,33 +469,33 @@ def relation_from_json(doc: Mapping) -> RankedRelation:
         scheme = [str(a) for a in doc["scheme"]]
         similarity_spec = doc["similarity"]
         rows = doc["tuples"]
-    except (KeyError, TypeError) as exc:
+        if isinstance(algebra_spec, str):
+            algebra = builtin_algebra(algebra_spec)
+        else:
+            algebra = algebra_from_json(algebra_spec)
+
+        domains = {str(k): str(v) for k, v in doc.get("domains", {}).items()}
+        functions = {}
+        for attr in scheme:
+            spec = similarity_spec.get(attr)
+            if spec is None:
+                raise SchemeMismatchError(f"no similarity for attribute {attr!r}")
+            params = {k: v for k, v in spec.items() if k != "kind"}
+            functions[attr] = builtin_similarity(spec["kind"], algebra, params)
+
+        tuples = []
+        for row in rows:
+            if len(row) != len(scheme):
+                raise InvalidRelationError(
+                    f"row {row!r} has {len(row)} values for {len(scheme)} attributes"
+                )
+            tuples.append(tuple(
+                _coerce_value(value, domains.get(attr), attr) for attr, value in zip(scheme, row)
+            ))
+    except (InvalidAlgebraError, InvalidRelationError, SchemeMismatchError):
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidRelationError(f"malformed relation description: {exc}") from exc
-
-    if isinstance(algebra_spec, str):
-        algebra = builtin_algebra(algebra_spec)
-    else:
-        algebra = algebra_from_json(algebra_spec)
-
-    domains = {str(k): str(v) for k, v in doc.get("domains", {}).items()}
-    functions = {}
-    for attr in scheme:
-        spec = similarity_spec.get(attr)
-        if spec is None:
-            raise SchemeMismatchError(f"no similarity for attribute {attr!r}")
-        params = {k: v for k, v in spec.items() if k != "kind"}
-        functions[attr] = builtin_similarity(spec["kind"], algebra, params)
-
-    tuples = []
-    for row in rows:
-        if len(row) != len(scheme):
-            raise InvalidRelationError(
-                f"row {row!r} has {len(row)} values for {len(scheme)} attributes"
-            )
-        coerced = []
-        for attr, value in zip(scheme, row):
-            coerced.append(_coerce_value(value, domains.get(attr), attr))
-        tuples.append(tuple(coerced))
 
     space = SimilaritySpace(algebra, functions, domains)
     return RankedRelation(tuple(scheme), tuple(tuples), space)

@@ -95,7 +95,8 @@ class TestUnitInterval:
 
     @pytest.mark.parametrize("kind", UnitIntervalPomonoid.KINDS)
     def test_spot_check_clean(self, kind):
-        assert validate_unit_interval(UnitIntervalPomonoid(kind), seed=7) == []
+        for seed in (0, 7):
+            assert validate_unit_interval(UnitIntervalPomonoid(kind), seed=seed) == []
 
     def test_spot_check_catches_fake(self):
         class Probabilistic(UnitIntervalPomonoid):
@@ -145,6 +146,39 @@ class TestFinitePomonoid:
             FinitePomonoid(("a", "b"), 1, ((True, True),), ((0, 0), (0, 1)))
         with pytest.raises(ValueError):
             FinitePomonoid(("a", "b"), 1, ((True, True), (False, True)), ((0, 9), (0, 1)))
+
+    @pytest.mark.parametrize(
+        "table,rows,message",
+        [
+            ("leq", ((True, True),), "leq table must be 2x2"),
+            ("leq", ((True, True), (False,)), "leq table must be 2x2"),
+            ("times", ((0, 0), (0, 1), (1, 1)), "times table must be 2x2"),
+            ("times", ((0, 9), (0, 1)), "times table entry out of range"),
+            ("meet", ((0, 0, 0), (0, 1, 1)), "meet table must be 2x2"),
+            ("meet", ((0, 0), (-1, 1)), "meet table entry out of range"),
+            ("join", ((0, 1),), "join table must be 2x2"),
+            ("join", ((0, 2), (1, 1)), "join table entry out of range"),
+            ("residuum", ((1, 1), (0,)), "residuum table must be 2x2"),
+            ("residuum", ((1, 1), (0, 5)), "residuum table entry out of range"),
+        ],
+    )
+    def test_table_shape_and_range_messages(self, table, rows, message):
+        tables = {
+            "leq": ((True, True), (False, True)),
+            "times": ((0, 0), (0, 1)),
+            "meet": ((0, 0), (0, 1)),
+            "join": ((0, 1), (1, 1)),
+            "residuum": ((1, 1), (0, 1)),
+        }
+        tables[table] = rows
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteResiduatedLattice(
+                ("0", "1"), 1, tables["leq"], tables["times"], 0,
+                tables["meet"], tables["join"], tables["residuum"],
+            )
+        if table in ("leq", "times"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                FinitePomonoid(("0", "1"), 1, tables["leq"], tables["times"])
 
     def test_set_slots_cannot_be_rebound(self):
         before = list(enumerate_pomonoids(3))

@@ -296,13 +296,15 @@ class TestCheck:
             assert out == "models: no\nviolation: x -> y at tuples (0, 1): 1 <= h fails\n"
 
     def test_seed_flag_accepted(self, run, data_dir):
-        code, out, _ = run(
+        # --seed only seeded a t-norm self-test that is gone; it is a usage error now
+        code, out, err = run(
             "check",
             str(data_dir / "housing.json"),
             theory_path(data_dir, "housing_fd.theory"),
             "--seed", "7",
         )
-        assert code == EXIT_PROVED
+        assert code == EXIT_USAGE
+        assert "--seed" in err and out == ""
 
     def test_scheme_mismatch(self, run, data_dir, tmp_path):
         bad = tmp_path / "bad.theory"
@@ -570,11 +572,58 @@ class TestErrors:
         assert code == EXIT_UNKNOWN
         assert "searched 0 proof nodes" in out
 
+    def test_zero_budgets_still_prove_an_axiom_instance(self, run, data_dir):
+        # p q -> q needs no rewrite step, so no search budget either
+        code, out, _ = run(
+            "decide", theory_path(data_dir, "no_additivity.theory"), "p q -> q",
+            "--budget-bfs", "0", "--budget-models", "0",
+        )
+        assert code == EXIT_PROVED
+        assert out.startswith("proved: p q -> q\npath (0 steps):\n")
+
     def test_invalid_algebra_json(self, run, tmp_path):
         bad = tmp_path / "alg.json"
         bad.write_text(json.dumps({"elements": ["a"], "leq": [[True]]}))
         code, _, err = run("complete-algebra", str(bad))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"algebra": "foo"},
+            {"similarity": {"a": {"c": 1}}},
+            {"similarity": {"a": {"kind": "exp_euclidean"}}},
+            {"similarity": {"a": {"kind": "exp_euclidean", "c": "x"}}},
+            {"algebra": "bool2", "similarity": {"a": {"kind": "equality"}}},
+            {"algebra": "bool2", "similarity": {"a": {"kind": "equality", "bottom": "zz"}}},
+            {"algebra": "bool2", "similarity": {"a": {"kind": "equality", "bottom": 7}}},
+            {"algebra": "bool2", "similarity": {"a": {"kind": "equality", "bottom": True}}},
+            {"similarity": {"a": {"kind": "equality", "bottom": "zz"}}},
+            {"similarity": {"a": {"kind": "equality", "bottom": 2.5}}},
+            {"similarity": ["x"]},
+            {"algebra": "bool2", "similarity": {"a": {
+                "kind": "table", "labels": [1, 2], "values": [["1", "zz"], ["0", "1"]]}}},
+            None,
+        ],
+    )
+    def test_malformed_documents(self, run, tmp_path, changes):
+        # exit code 1 would read as a violation
+        doc = tmp_path / "doc.json"
+        if changes is None:
+            doc.write_text("{broken")
+            argv = ("complete-algebra", str(doc))
+        else:
+            doc.write_text(json.dumps({
+                "algebra": "product", "scheme": ["a"],
+                "similarity": {"a": {"kind": "exp_euclidean", "c": 1}},
+                "tuples": [[1], [2]], **changes,
+            }))
+            theory = tmp_path / "a.theory"
+            theory.write_text("a -> a a\n")
+            argv = ("check", str(doc), str(theory))
+        code, out, err = run(*argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
 
 
 class TestSubprocess:
