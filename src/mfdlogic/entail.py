@@ -256,6 +256,11 @@ def _digits(index, s: int, k: int) -> list:
     return digits
 
 
+# Evaluations per tile of the model sweep: what a sweep holds at once is a
+# few arrays of at most this many elements, whatever the budget.
+_TILE_EVALS = 1 << 14
+
+
 def _sweep_algebra(
     algebra: FinitePomonoid,
     formulas: Sequence[Mfd],
@@ -265,31 +270,51 @@ def _sweep_algebra(
 ) -> Tuple[Optional[int], int]:
     """Vectorized scan of evaluations of one algebra, in lexicographic
     order of element indices (last variable fastest).  Returns the first
-    refuting evaluation index (or None) and how many were swept."""
+    refuting evaluation index (or None) and how many were swept.
+
+    The indices are covered in tiles of s**m, the largest power of the
+    algebra size s within ``_TILE_EVALS``: the last m variables run through
+    one set of digit columns decoded once, the others are constant per tile.
+    Powers are folded by repeated squaring, exact for the associative
+    tables ``enumerate_pomonoids`` yields."""
     times, leq = algebra.np_tables()
     s = algebra.size
     k = len(variables)
     count = min(s**k, limit)
-    columns = dict(zip(variables, _digits(np.arange(count, dtype=np.int64), s, k)))
+    m = 0
+    while m < k and s ** (m + 1) <= _TILE_EVALS:
+        m += 1
+    tile = s**m
+    width = min(tile, count)
+    low = _digits(np.arange(width, dtype=np.int64), s, m)
 
-    def degree(ms: AttributeMultiset):
-        # a scalar until some factor varies over the swept indices
-        acc = algebra.unit
+    def degree(ms: AttributeMultiset, columns: dict):
+        # a scalar until some factor varies within the tile
+        acc = None
         for name, mult in ms.items():
-            col = columns[name]
-            for _ in range(mult):
-                acc = times[acc, col]
-        return acc
+            power = columns[name]
+            while mult:
+                if mult & 1:
+                    acc = power if acc is None else times[acc, power]
+                mult >>= 1
+                if mult:
+                    power = times[power, power]
+        return algebra.unit if acc is None else acc
 
-    models = np.ones(count, dtype=bool)
-    for f in formulas:
-        models &= leq[degree(f.antecedent), degree(f.consequent)]
-        if not models.any():
-            return None, count
-    refutes = models & ~leq[degree(query.antecedent), degree(query.consequent)]
-    hits = np.nonzero(refutes)[0]
-    if hits.size:
-        return int(hits[0]), count
+    for start in range(0, count, tile):
+        # a last tile cut by the budget is computed whole, its hits clipped
+        columns = dict(zip(variables, _digits(start // tile, s, k - m) + low))
+        models = np.ones(width, dtype=bool)
+        for f in formulas:
+            models &= leq[degree(f.antecedent, columns), degree(f.consequent, columns)]
+            if not models.any():
+                break
+        else:
+            refutes = models & ~leq[degree(query.antecedent, columns),
+                                    degree(query.consequent, columns)]
+            hits = np.nonzero(refutes[: count - start])[0]
+            if hits.size:
+                return start + int(hits[0]), count
     return None, count
 
 

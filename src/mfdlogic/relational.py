@@ -347,6 +347,11 @@ def relation_to_evaluations(rel: RankedRelation) -> List[Evaluation]:
 # =====================================================================
 
 
+def _is_degree(v) -> bool:
+    """A unit-interval degree: an int or float (not a bool) in [0, 1]."""
+    return type(v) in (int, float) and 0 <= v <= 1
+
+
 def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> SimilarityFn:
     """Construct one of the stock similarity functions.
 
@@ -387,7 +392,7 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
             bottom = algebra.index_of(bottom) if isinstance(bottom, str) else bottom
             if type(bottom) is not int or bottom not in algebra.elements():
                 raise InvalidRelationError(f"equality bottom {bottom!r} is not an element index")
-        elif type(bottom) not in (int, float) or not 0 <= bottom <= 1:
+        elif not _is_degree(bottom):
             raise InvalidRelationError(f"equality bottom {bottom!r} is not a degree in [0, 1]")
 
         def eq_fn(a, b):
@@ -408,6 +413,9 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
             if isinstance(algebra, FinitePomonoid):
                 grid.append([algebra.index_of(str(v)) for v in row])
             else:
+                bad = [v for v in row if not _is_degree(v)]
+                if bad:
+                    raise InvalidRelationError(f"table value {bad[0]!r} is not a degree in [0, 1]")
                 grid.append([float(v) for v in row])
         for i in range(len(labels)):
             if grid[i][i] != algebra.unit:
@@ -481,7 +489,13 @@ def relation_from_json(doc: Mapping) -> RankedRelation:
             if spec is None:
                 raise SchemeMismatchError(f"no similarity for attribute {attr!r}")
             params = {k: v for k, v in spec.items() if k != "kind"}
-            functions[attr] = builtin_similarity(spec["kind"], algebra, params)
+            try:
+                functions[attr] = builtin_similarity(spec["kind"], algebra, params)
+            except KeyError as exc:
+                raise InvalidRelationError(
+                    f"malformed relation description: similarity of attribute {attr!r} "
+                    f"has no key {exc.args[0]!r}"
+                ) from exc
 
         tuples = []
         for row in rows:

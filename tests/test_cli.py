@@ -626,6 +626,23 @@ class TestErrors:
         assert err.startswith("error:") and out == ""
 
 
+    @pytest.mark.parametrize("bad", [2.5, "-3", "0.5"])
+    def test_table_degree_out_of_range(self, run, tmp_path, bad):
+        # exit code 0 or 1 would read as a checked relation
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({
+            "algebra": "product", "scheme": ["a"],
+            "similarity": {"a": {"kind": "table", "labels": ["x", "y"],
+                                 "values": [[1, bad], [0.5, 1]]}},
+            "tuples": [["x"], ["y"]],
+        }))
+        theory = tmp_path / "a.theory"
+        theory.write_text("a -> a a\n")
+        code, out, err = run("check", str(doc), str(theory))
+        assert code == EXIT_USAGE
+        assert err == f"error: table value {bad!r} is not a degree in [0, 1]\n" and out == ""
+
+
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
         theory = tmp_path / "chain.theory"

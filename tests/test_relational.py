@@ -445,6 +445,22 @@ class TestBuiltinSimilarity:
                 {"labels": ["red", "blue"], "values": [["1", "a"]]},
             )
 
+    @pytest.mark.parametrize("bad", [2.5, -0.5, "-3", "0.5", float("nan"), True, None, [0.5]])
+    def test_table_degrees_lie_in_the_unit_interval(self, bad):
+        # float() used to let 2.5, "-3" and NaN through as off-diagonal degrees
+        with pytest.raises(InvalidRelationError, match="not a degree in"):
+            builtin_similarity(
+                "table",
+                builtin_algebra("product"),
+                {"labels": ["x", "y"], "values": [[1, bad], [0.5, 1]]},
+            )
+
+    def test_table_over_the_unit_interval(self):
+        fn = builtin_similarity(
+            "table", builtin_algebra("min"), {"labels": ["x", "y"], "values": [[1, 0], [0.25, 1.0]]}
+        )
+        assert (fn("x", "x"), fn("x", "y"), fn("y", "x")) == (1.0, 0.0, 0.25)
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidRelationError):
             builtin_similarity("cosine", builtin_algebra("product"), {})
@@ -510,6 +526,24 @@ class TestFileFormat:
         del doc["similarity"]
         with pytest.raises(InvalidRelationError):
             relation_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "spec,key",
+        [
+            ({"c": 1}, "kind"),
+            ({"kind": "exp_euclidean"}, "c"),
+            ({"kind": "table", "values": [[1]]}, "labels"),
+            ({"kind": "table", "labels": ["x"]}, "values"),
+        ],
+    )
+    def test_missing_similarity_key_names_the_attribute(self, spec, key):
+        doc = self.base_doc()
+        doc["similarity"]["b"] = spec
+        with pytest.raises(InvalidRelationError) as info:
+            relation_from_json(doc)
+        assert str(info.value) == (
+            f"malformed relation description: similarity of attribute 'b' has no key '{key}'"
+        )
 
     def test_missing_attribute_similarity(self):
         doc = self.base_doc()
