@@ -10,9 +10,10 @@ two, except when the theory is non-contracting: there the member procedure
 answers yes or no outright, and a yes is certified from the rule firings of
 its own saturation run, with no search at all.
 
-The BFS, the saturation and the path extraction rewrite count tuples over
-one compiled theory (``formula._CountVectors``), and one replay turns the
-fired rules into a :class:`RewritePath`.  Both searches are budgeted; when
+The BFS, the saturation and the path extraction rewrite the count tuples
+of one compiled theory (``formula._CountVectors``), the BFS packed into one
+int per state, and one replay turns the fired rules into a
+:class:`RewritePath`.  Both searches are budgeted; when
 neither side settles the verdict is Unknown and carries the spent budgets.
 Proofs found are always re-checked and countermodels re-evaluated through
 the plain scalar semantics before being reported.
@@ -20,7 +21,9 @@ the plain scalar semantics before being reported.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,6 +34,7 @@ from .formula import (
     Mfd,
     Theory,
     _CountVectors,
+    _pack,
     divides,
     is_non_contracting_theory,
 )
@@ -155,15 +159,23 @@ def _replay(space: _CountVectors, start: AttributeMultiset, rules: Sequence[tupl
     return RewritePath(start, tuple(steps))
 
 
-def _walk_back(
-    start: AttributeMultiset, end: tuple, parents: dict, space: _CountVectors
-) -> RewritePath:
+def _walk_back(start: AttributeMultiset, end, parents: dict, space: _CountVectors) -> RewritePath:
+    """The path from ``start`` to the state ``end`` of a BFS: ``parents``
+    maps each state but the start to its first rule and that rule's gain."""
     fired = []
-    cur = end
-    while parents[cur] is not None:
-        fired.append(parents[cur])
-        cur = tuple(c - g for c, g in zip(cur, parents[cur][2]))
+    while parents[end] is not None:
+        entry, gain = parents[end]
+        fired.append(entry)
+        end -= gain
     return _replay(space, start, fired[::-1])
+
+
+def _node_budget(budget) -> int:
+    """The BFS node budget as an int: its bit length sizes the packed states."""
+    try:
+        return operator.index(budget)
+    except TypeError:
+        raise TypeError(f"bfs_nodes must be an int, not {type(budget).__name__}") from None
 
 
 def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
@@ -173,41 +185,57 @@ def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
     ("proved", path), ("exhausted", nodes) or ("budget", nodes).  A start
     that already covers the goal is proved by the empty path at any budget.
 
-    States are count tuples over the universe of theory and query.  Each
-    node's parent entry is the compiled rule that first reached it, so the
-    predecessor is the node minus that rule's gain.  Counts stay far below
-    the multiset cap for any storable number of nodes.
+    A state is one int holding the counts of ``formula._CountVectors`` in
+    fields of ``width`` bits; the top bits of the fields, the guards G, stay
+    0.  E fits under W exactly when W + (G - E) keeps every guard set: no field
+    of the sum leaves ``[0, 2**width)``, so none borrows from or carries into
+    the next, as long as W and E count below 2**(width-1).  The width puts
+    every start, goal and antecedent count below that bound, and so every
+    state the search builds: it lies at some depth d <= budget and counts at
+    most the start plus d times the largest gain.
+    Each node's parent entry is the compiled rule that first reached it and
+    that rule's packed gain, so the predecessor is the node minus the gain.
     """
     start = query.antecedent
     space = _CountVectors(_universe(theory, query), theory.distinct_formulas())
     start_v = space.vec(start)
     goal_v = space.vec(query.consequent)
 
-    parents: dict = {start_v: None}
     if all(g <= w for g, w in zip(goal_v, start_v)):
-        yield ("proved", _walk_back(start, start_v, parents, space))
+        yield ("proved", _walk_back(start, start_v, {start_v: None}, space))
         return
     if budget < 1:
         yield ("budget", 0)
         return
+    top = max(chain(start_v, goal_v, *(ant for _, ant, _ in space.rules)))
+    grow = max(chain((0,), *(gain for _, _, gain in space.rules)))
+    width = (top + budget * grow).bit_length() + 1
+    guards = _pack((1 << width - 1,) * len(start_v), width)
+    goal = guards - _pack(goal_v, width)
+    rules = []
+    for entry in space.rules:
+        gain = _pack(entry[2], width)
+        rules.append((guards - _pack(entry[1], width), gain, (entry, gain)))
+
+    root = _pack(start_v, width)
+    parents: dict = {root: None}
     nodes = 1
-    frontier = [start_v]
+    frontier = [root]
     while frontier:
         next_frontier = []
         for w in frontier:
-            for entry in space.rules:
-                _, ant, gain = entry
-                if any(a > c for a, c in zip(ant, w)):
+            for need, gain, record in rules:
+                if (w + need) & guards != guards:
                     continue
-                nxt = tuple(c + g for c, g in zip(w, gain))
+                nxt = w + gain
                 if nxt in parents:
                     continue
                 if nodes >= budget:
                     yield ("budget", nodes)
                     return
-                parents[nxt] = entry
+                parents[nxt] = record
                 nodes += 1
-                if all(g <= c for g, c in zip(goal_v, nxt)):
+                if (nxt + goal) & guards == guards:
                     yield ("proved", _walk_back(start, nxt, parents, space))
                     return
                 next_frontier.append(nxt)
@@ -236,6 +264,7 @@ def bfs_prove(theory: Theory, query: Mfd, budget: int = 100_000) -> Verdict:
     rewrite graph (the report distinguishes them); this function never
     claims refutation.
     """
+    budget = _node_budget(budget)
     return _search(theory, query, _bfs_engine(theory, query, budget), None)
 
 
@@ -435,6 +464,7 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     shortest path.  Otherwise the prover and the refuter run interleaved,
     one BFS layer against one algebra sweep, first hit wins.
     """
+    bfs_nodes = _node_budget(budgets.bfs_nodes)
     if is_non_contracting_theory(theory):
         if not member(theory, query):
             return Refuted(query, "member-algorithm")
@@ -442,7 +472,7 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
         cert = certificate_from_path(query, path)
         check_proof(cert, theory)
         return Proved(query, path, cert)
-    prover = _bfs_engine(theory, query, budgets.bfs_nodes)
+    prover = _bfs_engine(theory, query, bfs_nodes)
     refuter = _countermodel_engine(
         theory, query, budgets.max_algebra_size, budgets.model_evals
     )

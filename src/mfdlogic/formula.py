@@ -16,6 +16,7 @@ line-oriented text format for theories.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -237,17 +238,28 @@ class _CountVectors:
 
     def __init__(self, names: Iterable[str], formulas: Iterable[Mfd]):
         self.names = tuple(sorted(names))
+        self._zeros = (0,) * len(self.names)
         rules = []
         for f in formulas:
             ant = self.vec(f.antecedent)
-            rules.append((f, ant, tuple(c - a for a, c in zip(ant, self.vec(f.consequent)))))
+            rules.append((f, ant, tuple(map(operator.sub, self.vec(f.consequent), ant))))
         self.rules = tuple(rules)
 
     def vec(self, m: AttributeMultiset) -> Tuple[int, ...]:
-        return tuple(m[name] for name in self.names)
+        return tuple(map(m._counts.get, self.names, self._zeros))
 
     def unvec(self, state: Tuple[int, ...]) -> AttributeMultiset:
         return AttributeMultiset(zip(self.names, state))
+
+
+def _pack(counts: Tuple[int, ...], width: int) -> int:
+    """A count tuple of ``_CountVectors`` as one int: count i, which may be
+    negative, is added at bit ``i * width``.  Counts in ``[0, 2**width)``
+    each get a field of their own."""
+    packed = 0
+    for c in reversed(counts):
+        packed = (packed << width) + c
+    return packed
 
 
 # =====================================================================
@@ -267,7 +279,7 @@ class Mfd:
 
     @property
     def variables(self) -> frozenset:
-        return frozenset(self.antecedent.support) | frozenset(self.consequent.support)
+        return frozenset(self.antecedent._counts.keys() | self.consequent._counts.keys())
 
 
 @dataclass(frozen=True)
@@ -293,19 +305,12 @@ class Theory:
     def variables(self) -> frozenset:
         names: set = set()
         for f in self.formulas:
-            names.update(f.antecedent.support)
-            names.update(f.consequent.support)
+            names.update(f.antecedent._counts, f.consequent._counts)
         return frozenset(names)
 
     def distinct_formulas(self) -> Tuple[Mfd, ...]:
         """Deduplicated formulas in first-occurrence order."""
-        seen = set()
-        out = []
-        for f in self.formulas:
-            if f not in seen:
-                seen.add(f)
-                out.append(f)
-        return tuple(out)
+        return tuple(dict.fromkeys(self.formulas))
 
     def extended(self, *extra: Mfd) -> "Theory":
         return Theory(self.formulas + tuple(extra))

@@ -119,6 +119,63 @@ def counter_provable(theory, query, limit=100_000):
     return False
 
 
+def bfs_events(theory, query, budget):
+    """The event stream ``entail._bfs_engine`` must yield, on Counters.
+
+    The same layered search: rules in ``distinct_formulas`` order, each
+    layer's nodes first in, first out, the first discoverer as parent, and
+    the budget spent when a node is stored.  A proof comes as ("proved",
+    start, steps) with one (rule, remainder, result) of Counters per step.
+    """
+    rules = [(f, ant, con) for f, (ant, con) in
+             zip(theory.distinct_formulas(), theory_to_counter_rules(theory))]
+    start = Counter(dict(query.antecedent.items()))
+    goal = Counter(dict(query.consequent.items()))
+
+    def key(c):
+        return tuple(sorted((a, n) for a, n in c.items() if n))
+
+    def covers(c):
+        return all(c[a] >= n for a, n in goal.items())
+
+    def proved(k):
+        steps = []
+        while parent[k] is not None:
+            k, step = parent[k]
+            steps.append(step)
+        return [("proved", start, steps[::-1])]
+
+    events = []
+    parent = {key(start): None}
+    if covers(start):
+        return proved(key(start))
+    if budget < 1:
+        return [("budget", 0)]
+    nodes = 1
+    frontier = [start]
+    while frontier:
+        next_frontier = []
+        for w in frontier:
+            for f, ant, con in rules:
+                if any(w[a] < n for a, n in ant.items()):
+                    continue
+                remainder = w - ant
+                nxt = remainder + con
+                k = key(nxt)
+                if k in parent:
+                    continue
+                if nodes >= budget:
+                    return events + [("budget", nodes)]
+                parent[k] = (key(w), (f, remainder, nxt))
+                nodes += 1
+                if covers(nxt):
+                    return events + proved(k)
+                next_frontier.append(nxt)
+        events.append(("layer", nodes))
+        frontier = next_frontier
+    return events + [("exhausted", nodes)]
+
+
 # =====================================================================
 # Raw enumeration of small pomonoids by filtering
 # =====================================================================

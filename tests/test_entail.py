@@ -162,6 +162,137 @@ class TestBfsProve:
                 unproved += 1
         assert proved >= 5 and unproved >= 5
 
+    @pytest.mark.parametrize("run", [
+        lambda budget: bfs_prove(parse_theory("p -> q"), F("p -> r"), budget),
+        lambda budget: decide(parse_theory("p -> q"), F("p -> r"), Budgets(budget, 0, 2)),
+    ], ids=["bfs_prove", "decide"])
+    def test_budget_must_be_an_int(self, run):
+        with pytest.raises(TypeError, match="bfs_nodes must be an int, not float"):
+            run(1e5)
+        assert run(0).report.bfs_nodes_used == 0
+        report = run(10**18).report
+        assert (report.bfs_nodes_used, report.bfs_exhausted) == (2, True)
+        assert run(np.int64(1)).report.bfs_nodes_used == 1
+
+    def test_memory_of_a_long_search(self):
+        # a decide-mix theory whose graph grows on every layer without
+        # ever covering the goal: 20k states of five counts each
+        theory = parse_theory("e -> a a c c d d\nb b e e -> b e\nd d -> d d e e\n"
+                              "b c e -> d d\nb b c -> c c d d\n")
+        tracemalloc.start()
+        try:
+            verdict = bfs_prove(theory, F("b b c c d -> b b c c e"), 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # count tuples as states peaked near 2.6 MB, packed ints near 1.4 MB
+        assert verdict.report == BudgetReport(bfs_nodes_used=20_000)
+        assert peak < 2_000_000, peak
+
+
+def _engine_events(theory, query, budget):
+    """``_bfs_engine``'s events, with a proof spelled out as
+    ``oracles.bfs_events`` spells it."""
+
+    def counts(m):
+        return Counter(dict(m.items()))
+
+    events = []
+    for event in entail._bfs_engine(theory, query, budget):
+        if event[0] == "proved":
+            path = event[1]
+            event = ("proved", counts(path.start), [
+                (s.rule, counts(s.remainder), counts(s.result)) for s in path.steps])
+        events.append(event)
+    return events
+
+
+class TestBfsEventStream:
+    """The BFS against a Counter oracle: every event, node count and path
+    step, on budgets that cut layers anywhere and on budgets so large that
+    they set how wide the packed states are."""
+
+    NAMES = ("a", "b", "c", "d")
+
+    @staticmethod
+    def side(rng, names, most):
+        chosen = rng.sample(names, rng.randint(0, min(most, len(names))))
+        return AttributeMultiset(Counter({v: rng.randint(1, 3) for v in chosen}))
+
+    def walk(self, rng, theory, start, steps):
+        w = start
+        for _ in range(steps):
+            options = rewrite_successors(w, theory)
+            if options:
+                w = rng.choice(options).result
+        return w
+
+    def test_growing_theories(self):
+        rng = random.Random(61)
+        kinds = Counter()
+        cases = 0
+        while cases < 40:
+            names = self.NAMES[: rng.randint(1, 4)]
+            theory = Theory(tuple(
+                Mfd(self.side(rng, names, 2), self.side(rng, names, 3))
+                for _ in range(rng.randint(1, 5))))
+            gains = [Counter(dict(f.consequent.items())) - Counter(dict(f.antecedent.items()))
+                     for f in theory.distinct_formulas()]
+            if is_non_contracting_theory(theory) or not any(gains):
+                continue
+            cases += 1
+            start = self.side(rng, names, 2)
+            for goal in (self.side(rng, names, 3), self.walk(rng, theory, start, 4)):
+                query = Mfd(start, goal)
+                for budget in range(41):
+                    events = _engine_events(theory, query, budget)
+                    assert events == oracles.bfs_events(theory, query, budget), (query, budget)
+                    kinds[events[-1][0]] += 1
+            query = Mfd(start, self.walk(rng, theory, start, 3))
+            events = _engine_events(theory, query, 10**5)
+            assert events == oracles.bfs_events(theory, query, 10**5)
+            assert events[-1][0] == "proved"
+        assert min(kinds[k] for k in ("proved", "budget", "exhausted")) >= 20, kinds
+
+    def test_finite_graphs_with_huge_budgets(self):
+        # every rule trades its largest attribute for smaller ones, so the
+        # graph is finite however much a rule adds
+        rng = random.Random(62)
+        for _ in range(30):
+            names = self.NAMES[: rng.randint(2, 4)]
+            formulas = []
+            for _ in range(rng.randint(1, 4)):
+                top = rng.randrange(1, len(names))
+                ant = self.side(rng, names[:top], 1).union(M(names[top]))
+                formulas.append(Mfd(ant, self.side(rng, names[:top], 2)))
+            theory = Theory(tuple(formulas))
+            start = self.side(rng, names, 3)
+            # no rule makes the last attribute: one more of it is never reached
+            unreached = AttributeMultiset({names[-1]: start[names[-1]] + 1})
+            for goal in (self.side(rng, names, 3), unreached):
+                query = Mfd(start, goal)
+                for budget in (*range(41), 10**5, 10**18):
+                    events = _engine_events(theory, query, budget)
+                    assert events == oracles.bfs_events(theory, query, budget), (query, budget)
+            assert events[-1][0] == "exhausted"
+
+    @pytest.mark.parametrize("rules", [
+        "p -> p p", "a -> a a b", "p -> p p\nz z z z z z z z z -> p"])
+    def test_counts_at_the_width_edge(self, rules):
+        # a line whose counts reach budget + 1, cut at budgets around powers
+        # of two; the goal z, never reached, leaves the width to the counts
+        # and the antecedents
+        theory = parse_theory(rules)
+        start = theory.formulas[0].antecedent
+        for j in range(1, 7):
+            for budget in (2**j - 2, 2**j - 1, 2**j):
+                goals = [AttributeMultiset({name: budget + extra})
+                         for name in sorted(theory.variables) for extra in (1, 2)]
+                for goal in goals + [M("z")]:
+                    query = Mfd(start, goal)
+                    events = _engine_events(theory, query, budget)
+                    assert events == oracles.bfs_events(theory, query, budget), query
+
 
 class TestCertificateFromPath:
     def test_expands_and_checks(self, no_accumulation):
