@@ -6,101 +6,11 @@ pair, a polynomial membership test for non-contracting theories, and
 similarity-based semantics on ranked relations.
 """
 
-from .formula import (
-    MULTIPLICITY_CAP,
-    TOP,
-    AttributeMultiset,
-    Mfd,
-    MultiplicityOverflowError,
-    Theory,
-    TheoryParseError,
-    booleanize,
-    divides,
-    format_mfd,
-    format_multiset,
-    format_theory,
-    is_non_contracting,
-    is_non_contracting_theory,
-    is_trivial,
-    multiset_power,
-    multiset_union,
-    parse_mfd,
-    parse_multiset,
-    parse_theory,
-    singleton,
-)
-from .algebra import (
-    BUILTIN_ALGEBRA_NAMES,
-    ENUMERATION_SIZE_CAP,
-    Evaluation,
-    FinitePomonoid,
-    FiniteResiduatedLattice,
-    InvalidAlgebraError,
-    UnassignedAttributeError,
-    UnitIntervalPomonoid,
-    Violation,
-    algebra_from_json,
-    algebra_to_json,
-    builtin_algebra,
-    downset_completion,
-    elem_power,
-    enumerate_pomonoids,
-    evaluate,
-    is_model,
-    load_algebra,
-    satisfies,
-    validate,
-    validate_unit_interval,
-)
-from .proofs import (
-    AxInstance,
-    Cut,
-    Hyp,
-    ProofError,
-    ProofParseError,
-    ProofTree,
-    check_proof,
-    derive_aug,
-    derive_pro,
-    derive_ref,
-    derive_rwt,
-    derive_tra,
-    derive_weak_additivity,
-    format_proof,
-    parse_proof,
-)
-from .member import ContractingTheoryError, MemberPass, MemberTrace, member, member_trace
-from .entail import (
-    BudgetReport,
-    Budgets,
-    Proved,
-    Refuted,
-    RewritePath,
-    RewriteStep,
-    Unknown,
-    Verdict,
-    bfs_prove,
-    certificate_from_path,
-    classical_entails,
-    decide,
-    deduction_witness,
-    find_countermodel,
-    rewrite_successors,
-)
-from .relational import (
-    InvalidRelationError,
-    RankedRelation,
-    RelationViolation,
-    SchemeMismatchError,
-    SimilaritySpace,
-    builtin_similarity,
-    evaluation_to_relation,
-    load_relation,
-    relation_from_json,
-    relation_models,
-    relation_to_evaluations,
-    satisfies_relation,
-    tuple_similarity,
-)
+from .formula import *
+from .algebra import *
+from .proofs import *
+from .member import *
+from .entail import *
+from .relational import *
 
 __version__ = "0.1.0"

@@ -55,6 +55,13 @@ __all__ = [
 ENUMERATION_SIZE_CAP = 6
 
 
+def _check_size(size: int, name: str = "max_size") -> int:
+    """``size`` if it is a carrier size that can be enumerated, else ValueError."""
+    if not 1 <= size <= ENUMERATION_SIZE_CAP:
+        raise ValueError(f"{name} must be in 1..{ENUMERATION_SIZE_CAP}, got {size}")
+    return size
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed algebra axiom with the witnessing elements."""
@@ -569,20 +576,16 @@ def _fill_times_tables(
         table[x][unit] = x
 
     def consistent(i: int, j: int, v: int) -> bool:
-        # monotonicity against every already chosen comparable cell
+        # monotonicity against every already chosen comparable cell; a
+        # canonical order lists each element after all elements above it,
+        # so the cells of elements below i or j are all still empty
         for b in range(n):
             w = table[b][j]
-            if w is not None:
-                if leq[i][b] and not leq[v][w]:
-                    return False
-                if leq[b][i] and not leq[w][v]:
-                    return False
+            if w is not None and leq[i][b] and not leq[v][w]:
+                return False
             w = table[i][b]
-            if w is not None:
-                if leq[j][b] and not leq[v][w]:
-                    return False
-                if leq[b][j] and not leq[w][v]:
-                    return False
+            if w is not None and leq[j][b] and not leq[v][w]:
+                return False
         return True
 
     def assoc_closed(i: int, j: int) -> bool:
@@ -630,11 +633,7 @@ def enumerate_pomonoids(max_size: int) -> Iterator[FinitePomonoid]:
     the yielded algebras are shared, process-wide objects: every call
     returns the same instances.  They must not be mutated.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
-    if max_size > ENUMERATION_SIZE_CAP:
-        raise ValueError(f"max_size {max_size} exceeds enumeration cap {ENUMERATION_SIZE_CAP}")
-    for n in range(1, max_size + 1):
+    for n in range(1, _check_size(max_size) + 1):
         yield from _pomonoids_of_size(n)
 
 

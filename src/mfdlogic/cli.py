@@ -67,11 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mfd", description="Reasoner for graded functional dependencies")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = entail.Budgets()
+
     def add_max_size(p):
         cap = alg.ENUMERATION_SIZE_CAP
-        p.add_argument("--max-size", type=int, default=5, metavar="K",
+        p.add_argument("--max-size", type=int, default=defaults.max_algebra_size, metavar="K",
                        choices=range(1, cap + 1),
-                       help=f"largest algebra size tried, 1..{cap} (default 5)")
+                       help=f"largest algebra size tried, 1..{cap} (default %(default)s)")
 
     def count(text: str) -> int:
         value = int(text)
@@ -80,15 +82,15 @@ def _build_parser() -> argparse.ArgumentParser:
         return value
 
     def add_budget_models(p):
-        p.add_argument("--budget-models", type=count, default=1_000_000, metavar="N",
-                       help="countermodel evaluation limit (default 1000000)")
+        p.add_argument("--budget-models", type=count, default=defaults.model_evals, metavar="N",
+                       help="countermodel evaluation limit (default %(default)s)")
         add_max_size(p)
 
     p = sub.add_parser("decide", help="prove or refute a dependency")
     p.add_argument("theory", help="theory file")
     p.add_argument("query", help="dependency, e.g. 'p p -> q q'")
-    p.add_argument("--budget-bfs", type=count, default=100_000, metavar="N",
-                   help="BFS node limit, contracting theories only (default 100000)")
+    p.add_argument("--budget-bfs", type=count, default=defaults.bfs_nodes, metavar="N",
+                   help="BFS node limit, contracting theories only (default %(default)s)")
     add_budget_models(p)
     p.add_argument("--json", action="store_true")
 

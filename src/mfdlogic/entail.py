@@ -22,13 +22,20 @@ the plain scalar semantics before being reported.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import Evaluation, FinitePomonoid, enumerate_pomonoids, is_model, satisfies
+from .algebra import (
+    Evaluation,
+    FinitePomonoid,
+    _check_size,
+    enumerate_pomonoids,
+    is_model,
+    satisfies,
+)
 from .formula import (
     AttributeMultiset,
     Mfd,
@@ -85,11 +92,28 @@ class RewritePath:
 @dataclass(frozen=True)
 class Budgets:
     """Search limits: BFS nodes (contracting theories only: ``decide`` runs
-    no BFS on a non-contracting one), model evaluations, largest algebra."""
+    no BFS on a non-contracting one), model evaluations, largest algebra.
+
+    Checked when built, so the theory and query never decide whether a
+    limit is valid: each field must be an int (an integer type such as
+    ``numpy.int64`` is stored as its int), else TypeError; a negative count,
+    or a size outside 1..ENUMERATION_SIZE_CAP, is a ValueError."""
 
     bfs_nodes: int = 100_000
     model_evals: int = 1_000_000
     max_algebra_size: int = 5
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise TypeError(f"{field.name} must be an int, not {type(value).__name__}") from None
+            if value < 0:
+                raise ValueError(f"{field.name} must not be negative, got {value}")
+            object.__setattr__(self, field.name, value)
+        _check_size(self.max_algebra_size, "max_algebra_size")
 
 
 @dataclass(frozen=True)
@@ -168,14 +192,6 @@ def _walk_back(start: AttributeMultiset, end, parents: dict, space: _CountVector
         fired.append(entry)
         end -= gain
     return _replay(space, start, fired[::-1])
-
-
-def _node_budget(budget) -> int:
-    """The BFS node budget as an int: its bit length sizes the packed states."""
-    try:
-        return operator.index(budget)
-    except TypeError:
-        raise TypeError(f"bfs_nodes must be an int, not {type(budget).__name__}") from None
 
 
 def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
@@ -257,14 +273,14 @@ def certificate_from_path(query: Mfd, path: RewritePath) -> ProofTree:
     return derive_pro(tree, query.consequent)
 
 
-def bfs_prove(theory: Theory, query: Mfd, budget: int = 100_000) -> Verdict:
+def bfs_prove(theory: Theory, query: Mfd, budget: int = Budgets.bfs_nodes) -> Verdict:
     """Search for a proof; Proved with certificate, else Unknown.
 
     Unknown covers both budget exhaustion and a fully explored finite
     rewrite graph (the report distinguishes them); this function never
-    claims refutation.
+    claims refutation.  The budget is checked as ``Budgets.bfs_nodes``.
     """
-    budget = _node_budget(budget)
+    budget = Budgets(bfs_nodes=budget).bfs_nodes
     return _search(theory, query, _bfs_engine(theory, query, budget), None)
 
 
@@ -386,16 +402,19 @@ def _countermodel_engine(
 def find_countermodel(
     theory: Theory,
     query: Mfd,
-    max_size: int = 5,
-    budget: int = 1_000_000,
+    max_size: int = Budgets.max_algebra_size,
+    budget: int = Budgets.model_evals,
 ) -> Optional[Tuple[FinitePomonoid, Evaluation]]:
     """First (algebra, evaluation) modeling the theory but not the query.
 
     Deterministic: algebras come in enumeration order, evaluations in
     lexicographic order, so the witness is reproducible.  None means the
-    budget or the size cap ran out without a hit.
+    budget or the size cap ran out without a hit.  The limits are checked
+    as ``Budgets.max_algebra_size`` and ``Budgets.model_evals``.
     """
-    refuter = _countermodel_engine(theory, query, max_size, budget)
+    budgets = Budgets(model_evals=budget, max_algebra_size=max_size)
+    refuter = _countermodel_engine(theory, query, budgets.max_algebra_size,
+                                   budgets.model_evals)
     verdict = _search(theory, query, None, refuter)
     if isinstance(verdict, Refuted):
         return verdict.algebra, verdict.evaluation
@@ -464,7 +483,6 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     shortest path.  Otherwise the prover and the refuter run interleaved,
     one BFS layer against one algebra sweep, first hit wins.
     """
-    bfs_nodes = _node_budget(budgets.bfs_nodes)
     if is_non_contracting_theory(theory):
         if not member(theory, query):
             return Refuted(query, "member-algorithm")
@@ -472,7 +490,7 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
         cert = certificate_from_path(query, path)
         check_proof(cert, theory)
         return Proved(query, path, cert)
-    prover = _bfs_engine(theory, query, bfs_nodes)
+    prover = _bfs_engine(theory, query, budgets.bfs_nodes)
     refuter = _countermodel_engine(
         theory, query, budgets.max_algebra_size, budgets.model_evals
     )

@@ -252,10 +252,9 @@ def derive_weak_additivity(p1: ProofTree, p2: ProofTree) -> ProofTree:
         raise ProofError(
             f"antecedents differ: {format_mfd(f1)} and {format_mfd(f2)}"
         )
-    a, b, c = f1.antecedent, f1.consequent, f2.consequent
-    bc = b.union(c)
-    inner = Cut(p1, AxInstance(TOP, bc), Mfd(a.union(c), bc))
-    return Cut(p2, inner, Mfd(a.union(a), bc))
+    a = f1.antecedent
+    inner = derive_aug(p1, f2.consequent)
+    return Cut(p2, inner, Mfd(a.union(a), inner.conclusion.consequent))
 
 
 # =====================================================================

@@ -435,9 +435,6 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
     raise InvalidRelationError(f"unknown similarity kind {kind!r}")
 
 
-_DOMAIN_KINDS = ("scalar", "token")
-
-
 def _coerce_value(value, domain: Optional[str], attr: str):
     if domain is None:
         return tuple(value) if isinstance(value, list) else value

@@ -37,7 +37,7 @@ from mfdlogic import (
     validate,
     validate_unit_interval,
 )
-from mfdlogic.algebra import _pomonoids_of_size
+from mfdlogic.algebra import _pomonoids_of_size, _posets_with_top
 
 
 def relabeled(algebra, perm):
@@ -397,6 +397,13 @@ class TestEnumeration:
         assert hashlib.sha256(stream.encode()).hexdigest() == (
             "069b14ba131f7377773a7382bb28f48acb22d267083f29e62db919aff9bf82a4"
         )
+
+    def test_canonical_orders_list_lower_elements_later(self):
+        # the times-table search relies on this: when it fills a cell, the
+        # cells of elements below either factor are still empty
+        for n in range(1, ENUMERATION_SIZE_CAP + 1):
+            for leq in _posets_with_top(n):
+                assert all(b > i for b in range(n) for i in range(n) if b != i and leq[b][i])
 
     def test_deterministic(self):
         first = [(a.element_names, a.unit, a.leq_table, a.times_table)

@@ -90,6 +90,11 @@ class TestDecide:
         assert "searched 3 proof nodes (rewrite graph exhausted)" in out
         assert "swept 3 evaluations over 2 algebras" in out
 
+    def test_refuted_by_saturation(self, run, chain_theory):
+        code, out, _ = run("decide", chain_theory, "b -> a")
+        assert code == EXIT_REFUTED
+        assert out == "refuted: b -> a\nby the saturation procedure (theory is non-contracting)\n"
+
     def test_json_proved_round_trip(self, run, data_dir):
         theory_file = theory_path(data_dir, "needs_nonlinear.theory")
         code, out, _ = run("decide", theory_file, "p p -> q q", "--json")
@@ -383,6 +388,18 @@ class TestClassify:
             "theory: contracting\n"
         )
 
+    def test_trivial_tag(self, run, tmp_path):
+        mixed = tmp_path / "mixed.theory"
+        mixed.write_text("a -> a b\na a -> a\np -> p\n")
+        code, out, _ = run("classify", str(mixed))
+        assert code == EXIT_PROVED
+        assert out == (
+            "a -> a b   [non-contracting]\n"
+            "a a -> a   [trivial, contracting]\n"
+            "p -> p   [trivial, non-contracting]\n"
+            "theory: contracting\n"
+        )
+
     def test_json(self, run, chain_theory, tmp_path):
         mixed = tmp_path / "mixed.theory"
         mixed.write_text("a -> a b\na a -> a\n")
@@ -538,6 +555,21 @@ class TestErrors:
         code, out, err = run("check", str(rel), str(theory))
         assert code == EXIT_USAGE
         assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("domain,value,message", [
+        ("token", 5, "attribute 'a' expects a token, got 5"),
+        ("vectorx", [1, 2], "unknown domain 'vectorx'"),
+    ])
+    def test_bad_domain(self, run, tmp_path, domain, value, message):
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps({
+            "algebra": "product", "scheme": ["a"], "domains": {"a": domain},
+            "similarity": {"a": {"kind": "equality", "bottom": 0.5}}, "tuples": [[value]],
+        }))
+        theory = tmp_path / "a.theory"
+        theory.write_text("a -> a a\n")
+        code, out, err = run("check", str(rel), str(theory))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["decide", "countermodel"])
     @pytest.mark.parametrize("size", ["0", "7"])

@@ -593,6 +593,66 @@ class TestDecide:
         assert "Proved" in seen and "Refuted" in seen
 
 
+class TestBudgetsContract:
+    """A limit is accepted or rejected when its Budgets is built, so every
+    entry point answers alike whatever the theory and query."""
+
+    INSTANCES = {
+        # the start covers the goal: proved with no rewrite step
+        "axiom": ("p p -> q", "p q -> p"),
+        "refutable": ("p p -> q", "p -> q"),
+        # member decides it: no search looks at a budget
+        "non-contracting": ("p -> p q", "p -> q"),
+    }
+    BAD = [
+        ("bfs_nodes", 2.5, TypeError, "bfs_nodes must be an int, not float"),
+        ("model_evals", 2.5, TypeError, "model_evals must be an int, not float"),
+        ("model_evals", 5.0, TypeError, "model_evals must be an int, not float"),
+        ("max_algebra_size", 2.0, TypeError, "max_algebra_size must be an int, not float"),
+        ("bfs_nodes", -1, ValueError, "bfs_nodes must not be negative, got -1"),
+        ("model_evals", -3, ValueError, "model_evals must not be negative, got -3"),
+        ("max_algebra_size", 0, ValueError, "max_algebra_size must be in 1..6, got 0"),
+        ("max_algebra_size", 7, ValueError, "max_algebra_size must be in 1..6, got 7"),
+    ]
+
+    @staticmethod
+    def entry_points(instance, name, value):
+        """Each public call that takes the limit ``name``, set to ``value``."""
+        theory, query = parse_theory(instance[0]), F(instance[1])
+        calls = {"decide": lambda: decide(theory, query, Budgets(**{name: value}))}
+        if name == "bfs_nodes":
+            calls["bfs_prove"] = lambda: bfs_prove(theory, query, value)
+        else:
+            keyword = {"model_evals": "budget", "max_algebra_size": "max_size"}[name]
+            calls["find_countermodel"] = lambda: find_countermodel(theory, query, **{keyword: value})
+        return calls
+
+    @pytest.mark.parametrize("instance", INSTANCES)
+    @pytest.mark.parametrize("name,value,error,message", BAD)
+    def test_bad_limit_fails_alike_on_every_path(self, instance, name, value, error, message):
+        for entry, call in self.entry_points(self.INSTANCES[instance], name, value).items():
+            with pytest.raises(Exception) as info:
+                call()
+            assert (type(info.value), str(info.value)) == (error, message), entry
+
+    @pytest.mark.parametrize("instance", INSTANCES)
+    @pytest.mark.parametrize("name", ["bfs_nodes", "model_evals", "max_algebra_size"])
+    def test_numpy_ints_act_as_ints(self, instance, name):
+        limits = {"bfs_nodes": 50, "model_evals": 500, "max_algebra_size": 3}
+        budgets = Budgets(**{**limits, name: np.int64(limits[name])})
+        assert type(getattr(budgets, name)) is int and budgets == Budgets(**limits)
+
+        def outcome(result):
+            if isinstance(result, tuple):
+                return result[0], result[1].assignment
+            return result if result is None else verdict_to_json(result)
+
+        plain = self.entry_points(self.INSTANCES[instance], name, limits[name])
+        numpy = self.entry_points(self.INSTANCES[instance], name, np.int64(limits[name]))
+        for entry in plain:
+            assert outcome(numpy[entry]()) == outcome(plain[entry]()), entry
+
+
 class TestSaturationProofs:
     """Non-contracting theories are proved from the member run's firings."""
 

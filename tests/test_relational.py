@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -300,6 +301,49 @@ class TestAgainstPairScan:
                              SimilaritySpace(algebra, {"a": fn, "b": fn}))
         with pytest.raises(InvalidRelationError, match="exp_euclidean needs two numbers"):
             satisfies_relation(rel, F("a -> b"))
+
+    def test_unhashable_values(self):
+        # no domain: a nested list stays a tuple of lists, an object a dict
+        doc = {
+            "algebra": "product", "scheme": ["a", "b"],
+            "similarity": {"a": {"kind": "equality", "bottom": 0.5},
+                           "b": {"kind": "equality", "bottom": 0.5}},
+            "tuples": [[[[1, 2], [3]], "x"], [{"k": 1}, "y"], [[[1, 2], [3]], "x"],
+                       [{"k": 1}, "y"]],
+        }
+        rel = relation_from_json(doc)
+        assert relational._code_column(rel, 0)[0].tolist() == [0, 1, 2, 3]
+        for f, holds in ((F("a -> b"), True), (F("b -> a"), True), (F("1 -> a"), False)):
+            expected = self.first_violation(rel, f)
+            assert (expected is None) == holds
+            if holds:
+                assert satisfies_relation(rel, f) == (True, None)
+            else:
+                assert satisfies_relation(rel, f) == (False, RelationViolation(f, *expected))
+        doc["tuples"][3][1] = "x"
+        f = F("a -> b")
+        assert satisfies_relation(relation_from_json(doc), f) == (
+            False, RelationViolation(f, 1, 3, 1.0, 0.5))
+
+    @pytest.mark.parametrize("b,holds", [(lambda x, y: Fraction(1, 1 + abs(x - y)), True),
+                                         (lambda x, y: Fraction(1, 1 + 2 * abs(x - y)), False)],
+                             ids=["holds", "fails"])
+    def test_degrees_numpy_cannot_hold_safely(self, monkeypatch, b, holds):
+        # a Fraction array has dtype object: each tile falls back to the pair scan
+        scans = []
+        scan = relational._scan_failure
+        monkeypatch.setattr(relational, "_scan_failure", lambda *args: scans.append(1) or scan(*args))
+        functions = {"a": lambda x, y: Fraction(1, 1 + 2 * abs(x - y)), "b": b}
+        rows = [(k % 3, k % 3) for k in range(6)] + [(3, 4)]
+        rel = RankedRelation(("a", "b"), rows, SimilaritySpace(builtin_algebra("product"), functions))
+        f = F("a -> b")
+        expected = self.first_violation(rel, f)
+        assert (expected is None) == holds
+        if holds:
+            assert satisfies_relation(rel, f) == (True, None)
+        else:
+            assert satisfies_relation(rel, f) == (False, RelationViolation(f, *expected))
+        assert scans
 
     def test_memory_stays_bounded(self):
         # a full n x n float64 matrix at 1500 rows would take 18 MB
