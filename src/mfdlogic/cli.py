@@ -297,44 +297,34 @@ def _cmd_member(args) -> int:
 
 
 def _degree_out(algebra, value):
-    """A degree as printed: the element name in a finite algebra."""
+    """A degree as a JSON value: the element name in a finite algebra."""
     if isinstance(algebra, alg.FinitePomonoid):
         return algebra.element_names[value]
     return value
-
-
-def _fmt_degree(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".4f")
-    return str(value)
 
 
 def _cmd_check(args) -> int:
     rel = relational.load_relation(args.relation)
     theory = _read_theory(args.theory)
     ok, w = relational.relation_models(rel, theory)
-    if w is not None:
-        algebra = rel.similarity.algebra
-        da = _degree_out(algebra, w.antecedent_degree)
-        db = _degree_out(algebra, w.consequent_degree)
+    algebra = rel.similarity.algebra
     if args.json:
         doc = {"models": ok}
         if w is not None:
             doc["violation"] = {
                 "formula": format_mfd(w.formula),
                 "pair": [w.i, w.j],
-                "antecedent_degree": da,
-                "consequent_degree": db,
+                "antecedent_degree": _degree_out(algebra, w.antecedent_degree),
+                "consequent_degree": _degree_out(algebra, w.consequent_degree),
             }
         print(json.dumps(doc, indent=2))
     elif ok:
         print("models: yes")
     else:
         print("models: no")
-        print(
-            f"violation: {format_mfd(w.formula)} at tuples ({w.i}, {w.j}): "
-            f"{_fmt_degree(da)} <= {_fmt_degree(db)} fails"
-        )
+        da = alg._degree_text(algebra, w.antecedent_degree)
+        db = alg._degree_text(algebra, w.consequent_degree)
+        print(f"violation: {format_mfd(w.formula)} at tuples ({w.i}, {w.j}): {da} <= {db} fails")
     return EXIT_PROVED if ok else EXIT_REFUTED
 
 

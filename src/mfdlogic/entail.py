@@ -21,7 +21,6 @@ the plain scalar semantics before being reported.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields, replace
 from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -31,6 +30,7 @@ import numpy as np
 from .algebra import (
     Evaluation,
     FinitePomonoid,
+    _as_int,
     _check_size,
     enumerate_pomonoids,
     is_model,
@@ -105,11 +105,7 @@ class Budgets:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise TypeError(f"{field.name} must be an int, not {type(value).__name__}") from None
+            value = _as_int(getattr(self, field.name), field.name)
             if value < 0:
                 raise ValueError(f"{field.name} must not be negative, got {value}")
             object.__setattr__(self, field.name, value)

@@ -8,7 +8,10 @@ import json
 import math
 import pickle
 import random
+import types
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -21,6 +24,7 @@ from mfdlogic import (
     InvalidAlgebraError,
     UnassignedAttributeError,
     UnitIntervalPomonoid,
+    Violation,
     algebra_from_json,
     algebra_to_json,
     builtin_algebra,
@@ -37,7 +41,13 @@ from mfdlogic import (
     validate,
     validate_unit_interval,
 )
-from mfdlogic.algebra import _pomonoids_of_size, _posets_with_top
+from mfdlogic.algebra import (
+    _canonical_order,
+    _matrix,
+    _pomonoids_of_size,
+    _poset_classes,
+    _posets_with_top,
+)
 
 
 def relabeled(algebra, perm):
@@ -107,6 +117,28 @@ class TestUnitInterval:
         bad = Probabilistic("product")
         axioms = {v.axiom for v in validate_unit_interval(bad, seed=7)}
         assert "integrality" in axioms
+
+    @pytest.mark.parametrize("case", [
+        # a*a*b: the left factor counts twice
+        ("times-commutative", lambda a, b: a * a * b,
+         lambda t, a, b: abs(t(a, b) - t(b, a)) > 1e-12),
+        # commutative, integral and unital, but the correction term is not associative
+        ("times-associative", lambda a, b: a * b * (1 + (1 - a) * (1 - b)),
+         lambda t, a, b, c: abs(t(t(a, b), c) - t(a, t(b, c))) > 1e-12),
+        # x(1-x) falls again above 1/2, so large degrees multiply to less
+        ("times-monotone", lambda a, b: min(a, b) if max(a, b) == 1.0 else a * b * (1 - a * b),
+         lambda t, lo, hi, c: lo <= hi and t(lo, c) > t(hi, c) + 1e-12),
+    ], ids=lambda case: case[0])
+    def test_spot_check_catches_fake_law(self, case):
+        axiom, times, fails = case
+
+        class Fake(UnitIntervalPomonoid):
+            def times(self, a, b):
+                return times(a, b)
+
+        found = [v for v in validate_unit_interval(Fake("product"), seed=7) if v.axiom == axiom]
+        assert found
+        assert all(fails(times, *v.witness) for v in found)
 
 
 # ============================================================
@@ -280,6 +312,38 @@ class TestValidate:
         )
         assert "times-monotone" in axioms
 
+    # downset_completion(bool2) is the chain {} < {0} < {0,1} (indices 0 < 1 < 2)
+    @pytest.mark.parametrize("case", [
+        ("bottom", None, 1, Violation("bottom-least", (0,))),
+        ("meet", (1, 2), 2, Violation("meet-lower-bound", (1, 2))),
+        ("meet", (1, 2), 0, Violation("meet-greatest-lower", (1, 2, 1))),
+        ("join", (1, 2), 1, Violation("join-upper-bound", (1, 2))),
+        ("join", (0, 1), 2, Violation("join-least-upper", (0, 1, 1))),
+    ], ids=lambda case: case[-1].axiom)
+    def test_broken_lattice_law(self, bool2, case):
+        part, cell, value, violation = case
+        lattice, _ = downset_completion(bool2)
+        parts = {
+            "bottom": lattice.bottom,
+            "meet": [list(r) for r in lattice.meet_table],
+            "join": [list(r) for r in lattice.join_table],
+        }
+        if cell is None:
+            parts[part] = value
+        else:
+            parts[part][cell[0]][cell[1]] = value
+        broken = FiniteResiduatedLattice(
+            lattice.element_names,
+            lattice.unit,
+            lattice.leq_table,
+            lattice.times_table,
+            parts["bottom"],
+            parts["meet"],
+            parts["join"],
+            lattice.residuum_table,
+        )
+        assert validate(broken) == [violation]
+
     def test_broken_residuum(self, bool2):
         lattice, _ = downset_completion(bool2)
         table = [list(r) for r in lattice.residuum_table]
@@ -346,6 +410,9 @@ class TestEvaluation:
         assert Evaluation(bool2, {"p": 0}).degree_name("p") == "0"
         e = Evaluation(builtin_algebra("product"), {"p": 0.25})
         assert e.degree_name("p") == "0.2500"
+        # one rule with `mfd check`: only a float gets 4 decimals
+        e = Evaluation(builtin_algebra("product"), {"p": Fraction(1, 3), "q": 1})
+        assert (e.degree_name("p"), e.degree_name("q")) == ("1/3", "1")
 
 
 # ============================================================
@@ -405,6 +472,24 @@ class TestEnumeration:
             for leq in _posets_with_top(n):
                 assert all(b > i for b in range(n) for i in range(n) if b != i and leq[b][i])
 
+    def test_posets_with_top_match_brute_force(self):
+        # the brute-force definition: adjoin a top, canonicalize, dedup, sort
+        def reference(n):
+            m = n - 1
+            seen = {
+                _canonical_order(
+                    [row + (True,) for row in base] + [(False,) * m + (True,)]
+                )[0]
+                for base in _poset_classes(m)
+            }
+            return sorted(_matrix(flat, n) for flat in seen)
+
+        for n in range(1, ENUMERATION_SIZE_CAP + 1):
+            assert _posets_with_top(n) == reference(n), f"size {n} differs"
+
+    def test_unit_is_element_0(self):
+        assert all(a.unit == 0 for a in enumerate_pomonoids(ENUMERATION_SIZE_CAP))
+
     def test_deterministic(self):
         first = [(a.element_names, a.unit, a.leq_table, a.times_table)
                  for a in enumerate_pomonoids(3)]
@@ -446,6 +531,15 @@ class TestEnumeration:
             list(enumerate_pomonoids(0))
         with pytest.raises(ValueError):
             list(enumerate_pomonoids(ENUMERATION_SIZE_CAP + 1))
+
+    def test_size_checked_when_called(self):
+        with pytest.raises(ValueError, match=rf"^max_size must be in 1\.\.{ENUMERATION_SIZE_CAP}, got 0$"):
+            enumerate_pomonoids(0)
+        with pytest.raises(TypeError, match="^max_size must be an int, not float$"):
+            enumerate_pomonoids(2.0)
+        stream = enumerate_pomonoids(np.int64(3))
+        assert isinstance(stream, types.GeneratorType)  # callers may close() it
+        assert list(stream) == list(enumerate_pomonoids(3))
 
     def test_trivial_algebra_first(self):
         only = list(enumerate_pomonoids(1))

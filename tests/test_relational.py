@@ -404,6 +404,13 @@ class TestBridges:
                 satisfies(e, f) for e in evals
             )
 
+    def test_fraction_degrees_print(self):
+        # a Fraction similarity is supported; its degrees print with str
+        functions = {"a": lambda x, y: Fraction(1, 1 + abs(x - y))}
+        rel = RankedRelation(("a",), [(0,), (1,)], SimilaritySpace(builtin_algebra("product"), functions))
+        names = [e.degree_name("a") for e in relation_to_evaluations(rel)]
+        assert names == ["1", "1/2", "1/2", "1"]
+
     def test_relation_models_matches_evaluations(self, housing_relation):
         theory = parse_theory("loc area -> price\nloc -> loc")
         evals = relation_to_evaluations(housing_relation)
