@@ -220,9 +220,17 @@ def _read_theory(path: str) -> Theory:
         return parse_theory(fh.read())
 
 
+def _print_json(doc) -> None:
+    """Print ``doc`` as ``json.dumps(doc, indent=2)`` would, but streamed
+    to stdout piece by piece: the text of a long certificate is never held
+    whole in memory."""
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
 def _print_verdict(v: entail.Verdict, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(verdict_to_json(v), indent=2))
+        _print_json(verdict_to_json(v))
     elif isinstance(v, entail.Proved):
         print(f"proved: {format_mfd(v.query)}")
         print(f"path ({len(v.path)} steps):")
@@ -284,7 +292,7 @@ def _cmd_member(args) -> int:
                 for p in trace.passes
             ],
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(f"member: {'true' if trace.result else 'false'}")
         if args.trace:
@@ -317,7 +325,7 @@ def _cmd_check(args) -> int:
                 "antecedent_degree": _degree_out(algebra, w.antecedent_degree),
                 "consequent_degree": _degree_out(algebra, w.consequent_degree),
             }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     elif ok:
         print("models: yes")
     else:
@@ -334,7 +342,7 @@ def _cmd_countermodel(args) -> int:
     found = entail.find_countermodel(theory, query, args.max_size, args.budget_models)
     if found is None:
         if args.json:
-            print(json.dumps({"verdict": "unknown", "query": format_mfd(query)}, indent=2))
+            _print_json({"verdict": "unknown", "query": format_mfd(query)})
         else:
             print(f"no countermodel found up to size {args.max_size} within budget")
         return EXIT_UNKNOWN
@@ -358,7 +366,7 @@ def _cmd_classify(args) -> int:
     ]
     overall = all(r["non_contracting"] for r in rows)
     if args.json:
-        print(json.dumps({"formulas": rows, "theory_non_contracting": overall}, indent=2))
+        _print_json({"formulas": rows, "theory_non_contracting": overall})
     else:
         for r in rows:
             tags = []
@@ -378,7 +386,7 @@ def _cmd_boolify(args) -> int:
             raise _UsageError(f"--extra-vars: {name!r} is not an attribute name")
     result = booleanize(theory, extra)
     if args.json:
-        print(json.dumps({"formulas": [format_mfd(f) for f in result]}, indent=2))
+        _print_json({"formulas": [format_mfd(f) for f in result]})
     else:
         sys.stdout.write(format_theory(result))
     return EXIT_PROVED
@@ -397,7 +405,7 @@ def _cmd_complete_algebra(args) -> int:
         },
     }
     if args.json:
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(lattice.describe())
         pairs = ", ".join(f"{k} -> {v}" for k, v in doc["embedding"].items())

@@ -21,7 +21,7 @@ the plain scalar semantics before being reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -301,6 +301,23 @@ def _digits(index, s: int, k: int) -> list:
 # few arrays of at most this many elements, whatever the budget.
 _TILE_EVALS = 1 << 14
 
+# The low digit columns of a whole tile, keyed by (algebra size s, digits m):
+# the m base-s digits of 0 .. s**m - 1, as read-only arrays.  One entry per
+# key whatever the budget, as a tile cut short reads a prefix of them.
+_DIGIT_COLUMNS: dict = {}
+
+
+def _tile_columns(s: int, m: int) -> tuple:
+    """The cached low digit columns of a tile of s**m evaluations."""
+    columns = _DIGIT_COLUMNS.get((s, m))
+    if columns is None:
+        # for s > 1 every one of the m digits varies, so each is an array
+        columns = tuple(_digits(np.arange(s**m, dtype=np.int64), s, m))
+        for column in columns:
+            column.flags.writeable = False
+        _DIGIT_COLUMNS[s, m] = columns
+    return columns
+
 
 def _sweep_algebra(
     algebra: FinitePomonoid,
@@ -315,19 +332,26 @@ def _sweep_algebra(
 
     The indices are covered in tiles of s**m, the largest power of the
     algebra size s within ``_TILE_EVALS``: the last m variables run through
-    one set of digit columns decoded once, the others are constant per tile.
-    Powers are folded by repeated squaring, exact for the associative
-    tables ``enumerate_pomonoids`` yields."""
-    times, leq = algebra.np_tables()
+    the digit columns of ``_tile_columns``, decoded once per (s, m) for the
+    whole process and shared read-only by every algebra and call (a tile
+    cut short by the budget reads their prefix); the others are constant
+    per tile.  Products and the order are looked up in the flattened
+    tables, ``times[x * s + y]`` and ``leq[a * s + b]``.  Powers are folded
+    by repeated squaring, exact for the associative tables
+    ``enumerate_pomonoids`` yields."""
+    times, leq = (table.ravel() for table in algebra.np_tables())
     s = algebra.size
     k = len(variables)
     count = min(s**k, limit)
     m = 0
-    while m < k and s ** (m + 1) <= _TILE_EVALS:
+    # the digits that vary within a tile; with one element none vary
+    while m < k and 1 < s ** (m + 1) <= _TILE_EVALS:
         m += 1
     tile = s**m
     width = min(tile, count)
-    low = _digits(np.arange(width, dtype=np.int64), s, m)
+    low = _tile_columns(s, m)
+    if width < tile:
+        low = tuple(column[:width] for column in low)
 
     def degree(ms: AttributeMultiset, columns: dict):
         # a scalar until some factor varies within the tile
@@ -336,23 +360,23 @@ def _sweep_algebra(
             power = columns[name]
             while mult:
                 if mult & 1:
-                    acc = power if acc is None else times[acc, power]
+                    acc = power if acc is None else times[acc * s + power]
                 mult >>= 1
                 if mult:
-                    power = times[power, power]
+                    power = times[power * (s + 1)]
         return algebra.unit if acc is None else acc
 
     for start in range(0, count, tile):
         # a last tile cut by the budget is computed whole, its hits clipped
-        columns = dict(zip(variables, _digits(start // tile, s, k - m) + low))
+        columns = dict(zip(variables, (*_digits(start // tile, s, k - m), *low)))
         models = np.ones(width, dtype=bool)
         for f in formulas:
-            models &= leq[degree(f.antecedent, columns), degree(f.consequent, columns)]
+            models &= leq[degree(f.antecedent, columns) * s + degree(f.consequent, columns)]
             if not models.any():
                 break
         else:
-            refutes = models & ~leq[degree(query.antecedent, columns),
-                                    degree(query.consequent, columns)]
+            refutes = models & ~leq[degree(query.antecedent, columns) * s
+                                    + degree(query.consequent, columns)]
             hits = np.nonzero(refutes[: count - start])[0]
             if hits.size:
                 return start + int(hits[0]), count
@@ -425,8 +449,10 @@ def find_countermodel(
 def _search(theory: Theory, query: Mfd, prover, refuter) -> Verdict:
     """Drive a ``_bfs_engine`` and a ``_countermodel_engine`` (either may be
     None), one BFS layer against one algebra sweep, first hit wins.  When
-    both run out, the Unknown carries what both spent."""
-    report = BudgetReport()
+    both run out, the Unknown carries what both spent: each engine's last
+    event holds its running totals, so the report is built once, at the end."""
+    nodes = evals = scanned = 0
+    graph_done = models_done = False
     while prover or refuter:
         if prover:
             event = next(prover)
@@ -434,17 +460,17 @@ def _search(theory: Theory, query: Mfd, prover, refuter) -> Verdict:
                 cert = certificate_from_path(query, event[1])
                 check_proof(cert, theory)
                 return Proved(query, event[1], cert)
-            report = replace(report, bfs_nodes_used=event[1],
-                             bfs_exhausted=event[0] == "exhausted")
-            prover = prover if event[0] == "layer" else None
+            nodes, graph_done = event[1], event[0] == "exhausted"
+            if event[0] != "layer":
+                prover = None
         if refuter:
             event = next(refuter)
             if event[0] == "refuted":
                 return Refuted(query, "countermodel", event[1], event[2])
-            report = replace(report, model_evals_used=event[1], algebras_scanned=event[2],
-                             models_exhausted=event[0] == "exhausted")
-            refuter = refuter if event[0] == "algebra" else None
-    return Unknown(query, report)
+            evals, scanned, models_done = event[1], event[2], event[0] == "exhausted"
+            if event[0] != "algebra":
+                refuter = None
+    return Unknown(query, BudgetReport(nodes, graph_done, evals, scanned, models_done))
 
 
 def _saturation_path(theory: Theory, query: Mfd) -> RewritePath:

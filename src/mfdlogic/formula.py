@@ -267,7 +267,7 @@ def _pack(counts: Tuple[int, ...], width: int) -> int:
 # =====================================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mfd:
     """A graded functional dependency: antecedent implies consequent."""
 
@@ -282,7 +282,7 @@ class Mfd:
         return frozenset(self.antecedent._counts.keys() | self.consequent._counts.keys())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Theory:
     """An ordered collection of dependencies.
 

@@ -494,6 +494,70 @@ class TestTiledSweep:
         assert peak < 16 * 2**20, peak
 
 
+class TestDigitColumnCache:
+    """The sweep takes a tile's low digit columns from one process-wide
+    cache: read-only, one entry per (algebra size, digits), whatever the
+    budget cuts."""
+
+    @staticmethod
+    def tile_digits(s, k, tile):
+        m = 0
+        while m < k and 1 < s ** (m + 1) <= tile:
+            m += 1
+        return m
+
+    def test_matches_scalar_scan_and_stays_small(self, monkeypatch):
+        monkeypatch.setattr(entail, "_DIGIT_COLUMNS", {})
+        default = entail._TILE_EVALS
+        rng = random.Random(59)
+        by_size = {}
+        for algebra in enumerate_pomonoids(5):
+            by_size.setdefault(algebra.size, []).append(algebra)
+        used = set()
+        for _ in range(120):
+            theory, query = TestTiledSweep().random_case(rng)
+            variables = sorted(theory.variables | query.variables)
+            algebra = rng.choice(by_size[rng.randint(1, 5)])
+            s, k = algebra.size, len(variables)
+            # budgets that end inside a tile as well as past the end
+            limit = rng.choice((1, 2, 5, 13, 50, rng.randint(1, 700), 10**6))
+            count = min(s**k, limit)
+            scan = (i for i, e in enumerate(oracles.all_evaluations(algebra, variables))
+                    if i < count and is_model(e, theory) and not satisfies(e, query))
+            expected = (next(scan, None), count)
+            args = (algebra, theory.distinct_formulas(), query, variables, limit)
+            for tile in (default, *TestTiledSweep.TILES):
+                monkeypatch.setattr(entail, "_TILE_EVALS", tile)
+                assert entail._sweep_algebra(*args) == expected, tile
+                used.add((s, self.tile_digits(s, k, tile)))
+        assert {size for size, _ in used} == {1, 2, 3, 4, 5}
+        cache = entail._DIGIT_COLUMNS
+        # one entry per (s, m): none for a budget's width
+        assert set(cache) == used
+        for (s, m), columns in cache.items():
+            # each entry spans a whole tile, however short the budget cut it
+            index = np.arange(s**m)
+            assert len(columns) == m
+            for pos, column in enumerate(columns):
+                expected = (index // s ** (m - 1 - pos)) % s
+                assert np.array_equal(column, expected)
+
+    def test_columns_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(entail, "_DIGIT_COLUMNS", {})
+        theory, query = parse_theory("a b -> c\nc -> d"), F("a -> d")
+        variables = sorted(theory.variables | query.variables)
+        arrays = 0
+        for algebra in enumerate_pomonoids(4):
+            entail._sweep_algebra(algebra, theory.distinct_formulas(), query, variables, 7)
+        for columns in entail._DIGIT_COLUMNS.values():
+            for column in columns:
+                arrays += 1
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = 1
+        assert arrays >= 3 * 4
+
+
 # ============================================================
 # The combined decision procedure
 # ============================================================
@@ -591,6 +655,45 @@ class TestDecide:
                 assert is_model(verdict.evaluation, theory)
                 assert not satisfies(verdict.evaluation, query)
         assert "Proved" in seen and "Refuted" in seen
+
+
+class TestUnknownReportIsScheduleFree:
+    """``decide`` runs one BFS layer against one algebra sweep, but each
+    engine's figures are its own: an Unknown reports what ``bfs_prove``
+    spends alone plus what the model sweep spends alone, run to its end."""
+
+    def test_report_is_the_sum_of_solo_runs(self):
+        rng = random.Random(60)
+        names = ("a", "b", "c")
+        unknown = exhausted = 0
+        while unknown < 60:
+            theory = Theory(tuple(
+                Mfd(rand_multiset(rng, names, 3), rand_multiset(rng, names, 3))
+                for _ in range(rng.randint(1, 3))
+            ))
+            if is_non_contracting_theory(theory):
+                continue
+            query = Mfd(rand_multiset(rng, names, 3), rand_multiset(rng, names, 3))
+            budgets = Budgets(rng.randint(0, 60), rng.randint(0, 400), rng.randint(1, 4))
+            verdict = decide(theory, query, budgets)
+            if not isinstance(verdict, Unknown):
+                continue
+            unknown += 1
+            bfs = bfs_prove(theory, query, budgets.bfs_nodes)
+            assert isinstance(bfs, Unknown)
+            *_, last = entail._countermodel_engine(
+                theory, query, budgets.max_algebra_size, budgets.model_evals)
+            assert last[0] in ("budget", "exhausted")
+            assert verdict.report == BudgetReport(
+                bfs_nodes_used=bfs.report.bfs_nodes_used,
+                bfs_exhausted=bfs.report.bfs_exhausted,
+                model_evals_used=last[1],
+                algebras_scanned=last[2],
+                models_exhausted=last[0] == "exhausted",
+            )
+            exhausted += verdict.report.bfs_exhausted + verdict.report.models_exhausted
+        # both engines' ends show up: budget cuts and finished spaces
+        assert 0 < exhausted < 2 * unknown
 
 
 class TestBudgetsContract:

@@ -1,5 +1,11 @@
 """Multiset arithmetic, structural predicates, and the theory text format."""
 
+import copy
+import dataclasses
+import pickle
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -216,6 +222,57 @@ class TestTheory:
         t2 = t.extended(f)
         assert t2.formulas == t.formulas + (f,)
         assert len(t) == 1  # original untouched
+
+
+class TestSlottedValues:
+    """``Mfd`` and ``Theory`` are frozen slotted dataclasses: no per-instance
+    dict, yet copies, pickles, equality and hashing behave as before."""
+
+    @given(theories, mfds)
+    def test_copies_and_pickles_round_trip(self, theory, query):
+        for value in (theory, query):
+            for twin in (copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))):
+                assert type(twin) is type(value)
+                assert twin == value
+                assert hash(twin) == hash(value)
+        twin = pickle.loads(pickle.dumps(theory))
+        assert twin.formulas == theory.formulas
+        assert twin.distinct_formulas() == theory.distinct_formulas()
+
+    def test_frozen_without_instance_dict(self):
+        theory, query = parse_theory("a b -> c\na -> a"), parse_mfd("a -> c")
+        for value, name in ((theory, "formulas"), (query, "antecedent")):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+            # a name outside the fields: Python 3.11 raises TypeError from the
+            # frozen __setattr__ of a slotted class, later versions an AttributeError
+            with pytest.raises((AttributeError, TypeError)):
+                value.extra = 1
+            assert not hasattr(value, "extra")
+
+    def test_memory_of_parsed_theories(self):
+        rng = random.Random(5)
+
+        def side():
+            names = rng.sample("abcde", rng.randint(1, 3))
+            return " ".join(n for n in names for _ in range(rng.randint(1, 2)))
+
+        texts = ["\n".join(f"{side()} -> {side()}" for _ in range(rng.randint(1, 6)))
+                 for _ in range(500)]
+        queries = [f"{side()} -> {side()}" for _ in range(500)]
+        # parse once first, so the shared sides are already cached
+        [(parse_theory(t), parse_mfd(q)) for t, q in zip(texts, queries)]
+        tracemalloc.start()
+        try:
+            kept = [(parse_theory(t), parse_mfd(q)) for t, q in zip(texts, queries)]
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 500
+        # about 190 KB slotted; an instance dict per Mfd and Theory held 326 KB
+        assert retained < 256 * 1024, retained
 
 
 class TestPredicates:
