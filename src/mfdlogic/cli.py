@@ -38,6 +38,7 @@ from .formula import (
     format_multiset,
     format_theory,
     parse_mfd,
+    parse_multiset,
     parse_theory,
 )
 
@@ -166,6 +167,8 @@ def verdict_to_json(v: entail.Verdict) -> dict:
         if v.algebra is not None:
             doc["algebra"] = alg.algebra_to_json(v.algebra)
             doc["evaluation"] = _evaluation_to_json(v.evaluation)
+        if v.invariant is not None:
+            doc["invariant"] = [format_multiset(m) for m in v.invariant]
         return doc
     if isinstance(v, entail.Unknown):
         budget = {key: getattr(v.report, key) for key in _BUDGET_KEYS}
@@ -178,8 +181,6 @@ def verdict_from_json(doc: dict) -> entail.Verdict:
     query = parse_mfd(doc["query"])
     kind = doc["verdict"]
     if kind == "proved":
-        from .formula import parse_multiset
-
         start = parse_multiset(doc["path"]["start"])
         steps = tuple(
             entail.RewriteStep(
@@ -203,7 +204,10 @@ def verdict_from_json(doc: dict) -> entail.Verdict:
                 algebra,
                 {k: algebra.index_of(v) for k, v in doc["evaluation"].items()},
             )
-        return entail.Refuted(query, doc["method"], algebra, evaluation)
+        invariant = None
+        if "invariant" in doc:
+            invariant = tuple(map(parse_multiset, doc["invariant"]))
+        return entail.Refuted(query, doc["method"], algebra, evaluation, invariant)
     if kind == "unknown":
         report = entail.BudgetReport(**{key: doc["budget"][key] for key in _BUDGET_KEYS})
         return entail.Unknown(query, report)
@@ -242,6 +246,11 @@ def _print_verdict(v: entail.Verdict, as_json: bool) -> int:
         print(f"refuted: {format_mfd(v.query)}")
         if v.method == "member-algorithm":
             print("by the saturation procedure (theory is non-contracting)")
+        elif v.method == "invariant":
+            print(f"invariant ({len(v.invariant)} elements; every multiset that rewrites to "
+                  "contain the consequent contains one, the antecedent none):")
+            for m in v.invariant:
+                print(f"  {format_multiset(m)}")
         else:
             print(f"countermodel ({v.algebra.size} elements):")
             print(v.algebra.describe())

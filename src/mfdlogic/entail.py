@@ -8,19 +8,26 @@ evaluations over exhaustively enumerated finite pomonoids, smallest first,
 until one models the theory but not the query.  ``decide`` interleaves the
 two, except when the theory is non-contracting: there the member procedure
 answers yes or no outright, and a yes is certified from the rule firings of
-its own saturation run, with no search at all.
+its own saturation run, with no search at all.  Once the sweep has covered
+every algebra up to the size cap, ``decide`` computes the backward
+coverability basis of the query consequent; if the antecedent lies outside
+its upward closure, that basis is an inductive invariant showing the query
+unprovable, and the BFS stops.
 
 The BFS, the saturation and the path extraction rewrite the count tuples
 of one compiled theory (``formula._CountVectors``), the BFS packed into one
 int per state, and one replay turns the fired rules into a
 :class:`RewritePath`.  Both searches are budgeted; when
 neither side settles the verdict is Unknown and carries the spent budgets.
-Proofs found are always re-checked and countermodels re-evaluated through
-the plain scalar semantics before being reported.
+Proofs found are always re-checked, countermodels re-evaluated through
+the plain scalar semantics, and invariants re-checked with multiset
+arithmetic (``proofs.check_invariant``) before being reported.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -46,7 +53,15 @@ from .formula import (
     is_non_contracting_theory,
 )
 from .member import member, member_trace
-from .proofs import Hyp, ProofTree, check_proof, derive_pro, derive_ref, derive_rwt
+from .proofs import (
+    Hyp,
+    ProofTree,
+    check_invariant,
+    check_proof,
+    derive_pro,
+    derive_ref,
+    derive_rwt,
+)
 
 __all__ = [
     "RewriteStep",
@@ -92,7 +107,9 @@ class RewritePath:
 @dataclass(frozen=True)
 class Budgets:
     """Search limits: BFS nodes (contracting theories only: ``decide`` runs
-    no BFS on a non-contracting one), model evaluations, largest algebra.
+    no BFS on a non-contracting one), model evaluations, largest algebra,
+    and vectors the coverability basis may add, replaced ones included
+    (0 turns the basis off).
 
     Checked when built, so the theory and query never decide whether a
     limit is valid: each field must be an int (an integer type such as
@@ -102,6 +119,7 @@ class Budgets:
     bfs_nodes: int = 100_000
     model_evals: int = 1_000_000
     max_algebra_size: int = 5
+    basis_elements: int = 64
 
     def __post_init__(self):
         for field in fields(self):
@@ -133,9 +151,11 @@ class Proved:
 @dataclass(frozen=True)
 class Refuted:
     query: Mfd
-    method: str  # "countermodel" or "member-algorithm"
+    method: str  # "countermodel", "member-algorithm" or "invariant"
     algebra: Optional[FinitePomonoid] = None
     evaluation: Optional[Evaluation] = None
+    # the basis of an "invariant" refutation, as checked by check_invariant
+    invariant: Optional[Tuple[AttributeMultiset, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -277,7 +297,7 @@ def bfs_prove(theory: Theory, query: Mfd, budget: int = Budgets.bfs_nodes) -> Ve
     claims refutation.  The budget is checked as ``Budgets.bfs_nodes``.
     """
     budget = Budgets(bfs_nodes=budget).bfs_nodes
-    return _search(theory, query, _bfs_engine(theory, query, budget), None)
+    return _search(theory, query, _bfs_engine(theory, query, budget), None, 0)
 
 
 # =====================================================================
@@ -435,10 +455,68 @@ def find_countermodel(
     budgets = Budgets(model_evals=budget, max_algebra_size=max_size)
     refuter = _countermodel_engine(theory, query, budgets.max_algebra_size,
                                    budgets.model_evals)
-    verdict = _search(theory, query, None, refuter)
+    verdict = _search(theory, query, None, refuter, 0)
     if isinstance(verdict, Refuted):
         return verdict.algebra, verdict.evaluation
     return None
+
+
+# =====================================================================
+# The coverability basis
+# =====================================================================
+
+
+def _coverability_basis(
+    space: _CountVectors, start: tuple, goal: tuple, cap: int
+) -> Optional[List[tuple]]:
+    """The minimal count vectors that rewrite to cover ``goal``, largest
+    first; None once ``start`` lies above one (the query is provable), or
+    when the search would add a vector beyond the first ``cap``.
+
+    This is the backward minimal-basis search for coverability (Abdulla,
+    Cerans, Jonsson & Tsay, LICS 1996): the least vector that the compiled
+    rule ``(f, ant, gain)`` takes above m is ``max(ant, m - gain)``.  A
+    predecessor above an element is dropped; one that is not replaces the
+    elements above it.  No vector added lies above one added before it, so
+    the search ends (Dickson's lemma), but only the cap bounds how late: it
+    counts every vector added, replaced ones too.  Vectors are expanded
+    smallest total first, as a small one replaces more of the others."""
+    if all(map(operator.le, goal, start)):
+        return None
+    basis = {goal}
+    todo = [(sum(goal), 0, goal)]
+    added = 1
+    while todo:
+        m = heapq.heappop(todo)[2]
+        if m not in basis:
+            continue  # a later vector lies below it, and so do its predecessors
+        for _, ant, gain in space.rules:
+            p = tuple(map(max, ant, map(operator.sub, m, gain)))
+            if any(all(map(operator.le, b, p)) for b in basis):
+                continue
+            if added == cap or all(map(operator.le, p, start)):
+                return None
+            basis = {b for b in basis if not all(map(operator.le, p, b))}
+            basis.add(p)
+            heapq.heappush(todo, (sum(p), added, p))
+            added += 1
+    return sorted(basis, reverse=True)
+
+
+def _refuting_invariant(
+    theory: Theory, query: Mfd, cap: int
+) -> Optional[Tuple[AttributeMultiset, ...]]:
+    """The checked basis of the multisets that rewrite to cover the query
+    consequent, when the antecedent covers none of it; None when it does,
+    or when the search would add more than ``cap`` multisets."""
+    space = _CountVectors(_universe(theory, query), theory.distinct_formulas())
+    basis = _coverability_basis(
+        space, space.vec(query.antecedent), space.vec(query.consequent), cap)
+    if basis is None:
+        return None
+    invariant = tuple(map(space.unvec, basis))
+    check_invariant(invariant, theory, query)
+    return invariant
 
 
 # =====================================================================
@@ -446,11 +524,14 @@ def find_countermodel(
 # =====================================================================
 
 
-def _search(theory: Theory, query: Mfd, prover, refuter) -> Verdict:
+def _search(theory: Theory, query: Mfd, prover, refuter, basis_elements: int) -> Verdict:
     """Drive a ``_bfs_engine`` and a ``_countermodel_engine`` (either may be
-    None), one BFS layer against one algebra sweep, first hit wins.  When
-    both run out, the Unknown carries what both spent: each engine's last
-    event holds its running totals, so the report is built once, at the end."""
+    None), one BFS layer against one algebra sweep, first hit wins.  Once
+    the sweep has covered every algebra, a coverability basis found within
+    ``basis_elements`` additions (0: none is sought) that leaves out the
+    antecedent refutes the query.  When both run out, the Unknown carries what both
+    spent: each engine's last event holds its running totals, so the report
+    is built once, at the end."""
     nodes = evals = scanned = 0
     graph_done = models_done = False
     while prover or refuter:
@@ -470,6 +551,10 @@ def _search(theory: Theory, query: Mfd, prover, refuter) -> Verdict:
             evals, scanned, models_done = event[1], event[2], event[0] == "exhausted"
             if event[0] != "algebra":
                 refuter = None
+            if models_done and basis_elements:
+                invariant = _refuting_invariant(theory, query, basis_elements)
+                if invariant is not None:
+                    return Refuted(query, "invariant", invariant=invariant)
     return Unknown(query, BudgetReport(nodes, graph_done, evals, scanned, models_done))
 
 
@@ -503,7 +588,14 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     procedure answers yes/no outright, and a yes is certified from the
     firings of its saturation run, with no budget and not necessarily the
     shortest path.  Otherwise the prover and the refuter run interleaved,
-    one BFS layer against one algebra sweep, first hit wins.
+    one BFS layer against one algebra sweep, first hit wins.  When the sweep
+    has covered every algebra up to ``budgets.max_algebra_size`` without a
+    countermodel, the coverability basis of the consequent is computed, with
+    at most ``budgets.basis_elements`` vectors added; if it leaves out the
+    antecedent, the query is refuted by that basis (method ``"invariant"``).
+    If it shows the query provable or outgrows its cap, the BFS runs on as
+    before, so every other verdict is what it would be without the basis.
+    A sweep cut short by ``model_evals`` computes no basis.
     """
     if is_non_contracting_theory(theory):
         if not member(theory, query):
@@ -516,7 +608,7 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     refuter = _countermodel_engine(
         theory, query, budgets.max_algebra_size, budgets.model_evals
     )
-    return _search(theory, query, prover, refuter)
+    return _search(theory, query, prover, refuter, budgets.basis_elements)
 
 
 def deduction_witness(
@@ -531,8 +623,9 @@ def deduction_witness(
     This is the local deduction property: adding the hypothesis
     ``1 -> A`` proves ``1 -> B`` exactly when some finite power of A
     already implies B.  As A^n -> B gives A^(n+1) -> B, the first n not
-    shown unprovable (refuted, or its rewrite graph exhausted) settles the
-    answer: n if proved, else its Unknown verdict with the spent budgets.
+    shown unprovable (refuted by a countermodel, the saturation procedure or
+    an invariant, or its rewrite graph exhausted) settles the answer: n if
+    proved, else its Unknown verdict with the spent budgets.
     """
     for n in range(n_max + 1):
         verdict = decide(theory, Mfd(a.power(n), b), budgets)

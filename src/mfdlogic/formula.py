@@ -267,12 +267,25 @@ def _pack(counts: Tuple[int, ...], width: int) -> int:
 # =====================================================================
 
 
-@dataclass(frozen=True, slots=True)
+# Mfd and Theory declare their slots by hand rather than through
+# ``dataclass(slots=True)``: on Python 3.10 and 3.11 the frozen __setattr__
+# generated there names the class that the slotted copy replaced, so setting
+# an attribute outside the fields raised TypeError instead of
+# FrozenInstanceError.  Restoring slot state goes through setattr, which a
+# frozen class refuses, so copies and pickles rebuild through __reduce__.
+
+
+@dataclass(frozen=True)
 class Mfd:
     """A graded functional dependency: antecedent implies consequent."""
 
+    __slots__ = ("antecedent", "consequent")
+
     antecedent: AttributeMultiset
     consequent: AttributeMultiset
+
+    def __reduce__(self):
+        return Mfd, (self.antecedent, self.consequent)
 
     def __str__(self) -> str:
         return format_mfd(self)
@@ -282,7 +295,7 @@ class Mfd:
         return frozenset(self.antecedent._counts.keys() | self.consequent._counts.keys())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Theory:
     """An ordered collection of dependencies.
 
@@ -290,10 +303,15 @@ class Theory:
     deterministic rewriting); reasoning operates on the deduplicated view.
     """
 
+    __slots__ = ("formulas",)
+
     formulas: Tuple[Mfd, ...]
 
     def __init__(self, formulas: Iterable[Mfd] = ()):
         object.__setattr__(self, "formulas", tuple(formulas))
+
+    def __reduce__(self):
+        return Theory, (self.formulas,)
 
     def __iter__(self) -> Iterator[Mfd]:
         return iter(self.formulas)

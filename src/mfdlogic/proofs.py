@@ -14,6 +14,11 @@ Cut nodes store their conclusion; :func:`check_proof` re-derives every
 conclusion and refuses trees whose stored formulas do not match, whose cuts
 do not divide, or whose hypotheses are not in the ambient theory.
 Certificates serialize as s-expressions with formulas in the theory grammar.
+
+An unprovable query is certified by an inductive invariant instead: a
+finite basis whose upward closure holds the consequent, not the antecedent,
+and every multiset that one rule application takes into it.
+:func:`check_invariant` checks those three facts.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ __all__ = [
     "Cut",
     "ProofTree",
     "check_proof",
+    "check_invariant",
     "derive_ref",
     "derive_tra",
     "derive_aug",
@@ -184,6 +190,39 @@ def check_proof(tree: ProofTree, theory: Theory) -> Mfd:
         elif not isinstance(node, AxInstance):
             raise ProofError(f"not a proof node: {node!r}")
     return tree.conclusion
+
+
+def check_invariant(invariant: Tuple[AttributeMultiset, ...], theory: Theory, query: Mfd) -> None:
+    """Verify that ``invariant`` shows the query unprovable from the theory.
+
+    Let U be the multisets that contain some element of the invariant.  U
+    must hold the consequent B, must not hold the antecedent A, and must
+    hold E (e - F), with the difference cut off at 0, for every element e
+    and theory formula E -> F: the least multiset that E -> F rewrites into
+    one containing e.  Then every multiset that rewrites into U is in U, so
+    no rewrite path leads from A to a multiset containing B, and by the
+    completeness of rewriting A -> B is not provable.  Raises
+    :class:`ProofError` naming the first fact that fails.
+    """
+
+    def covered(w: AttributeMultiset) -> bool:
+        return any(w.contains_multiset(e) for e in invariant)
+
+    if not covered(query.consequent):
+        raise ProofError(f"invariant misses the consequent {format_multiset(query.consequent)}")
+    if covered(query.antecedent):
+        raise ProofError(f"invariant holds the antecedent {format_multiset(query.antecedent)}")
+    for e in invariant:
+        for f in theory.distinct_formulas():
+            rest = AttributeMultiset(
+                (name, mult - f.consequent[name]) for name, mult in e.items()
+                if mult > f.consequent[name])
+            before = f.antecedent.union(rest)
+            if not covered(before):
+                raise ProofError(
+                    f"invariant not closed: {format_mfd(f)} rewrites "
+                    f"{format_multiset(before)} to contain {format_multiset(e)}"
+                )
 
 
 # =====================================================================

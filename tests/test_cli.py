@@ -17,6 +17,7 @@ from mfdlogic import (
     Refuted,
     Unknown,
     algebra_from_json,
+    check_invariant,
     check_proof,
     decide,
     format_mfd,
@@ -102,6 +103,38 @@ class TestDecide:
         code, out, _ = run("decide", chain_theory, "b -> a")
         assert code == EXIT_REFUTED
         assert out == "refuted: b -> a\nby the saturation procedure (theory is non-contracting)\n"
+
+    def test_refuted_by_invariant(self, run, data_dir):
+        # the only refuting algebra has five elements; past size 4 the
+        # coverability basis shows p -> q unprovable instead
+        code, out, _ = run(
+            "decide", theory_path(data_dir, "needs_nonlinear.theory"), "p -> q",
+            "--max-size", "4",
+        )
+        assert code == EXIT_REFUTED
+        assert out == (
+            "refuted: p -> q\n"
+            "invariant (8 elements; every multiset that rewrites to contain the "
+            "consequent contains one, the antecedent none):\n"
+            "  p p\n  p u\n  p v\n  p x\n  p y\n  q\n  u y\n  v x\n"
+        )
+
+    def test_json_invariant_round_trip(self, run, data_dir):
+        theory_file = theory_path(data_dir, "needs_nonlinear.theory")
+        code, out, _ = run("decide", theory_file, "p -> q", "--max-size", "4", "--json")
+        assert code == EXIT_REFUTED
+        doc = json.loads(out)
+        assert doc == {
+            "verdict": "refuted",
+            "query": "p -> q",
+            "method": "invariant",
+            "invariant": ["p p", "p u", "p v", "p x", "p y", "q", "u y", "v x"],
+        }
+        verdict = verdict_from_json(doc)
+        theory = parse_theory((data_dir / "needs_nonlinear.theory").read_text())
+        assert verdict == decide(theory, parse_mfd("p -> q"), Budgets(max_algebra_size=4))
+        check_invariant(verdict.invariant, theory, verdict.query)
+        assert verdict_to_json(verdict) == doc
 
     def test_json_proved_round_trip(self, run, data_dir):
         theory_file = theory_path(data_dir, "needs_nonlinear.theory")

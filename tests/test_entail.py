@@ -5,6 +5,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mfdlogic import (
     Unknown,
     bfs_prove,
     certificate_from_path,
+    check_invariant,
     check_proof,
     classical_entails,
     decide,
@@ -44,7 +46,7 @@ from mfdlogic import (
     satisfies,
 )
 from mfdlogic import entail, formula
-from mfdlogic.cli import verdict_to_json
+from mfdlogic.cli import verdict_from_json, verdict_to_json
 from mfdlogic.entail import _digits
 from mfdlogic.formula import MultiplicityOverflowError
 from mfdlogic.member import member_trace
@@ -612,10 +614,19 @@ class TestDecide:
         )
 
     def test_unknown_when_nothing_small_refutes(self, needs_nonlinear):
-        # the only refuting algebra has five elements
-        verdict = decide(needs_nonlinear, F("p -> q"), Budgets(2_000, 100_000, 4))
+        # the only refuting algebra has five elements; no basis is computed
+        verdict = decide(needs_nonlinear, F("p -> q"), Budgets(2_000, 100_000, 4, 0))
         assert isinstance(verdict, Unknown)
         assert verdict.report.models_exhausted is True
+
+    def test_invariant_when_nothing_small_refutes(self, needs_nonlinear):
+        # the same sweep, exhausted; the basis then shows p -> q unprovable
+        verdict = decide(needs_nonlinear, F("p -> q"), Budgets(2_000, 100_000, 4))
+        assert isinstance(verdict, Refuted) and verdict.method == "invariant"
+        assert verdict.algebra is None and verdict.evaluation is None
+        assert [format_multiset(m) for m in verdict.invariant] == [
+            "p p", "p u", "p v", "p x", "p y", "q", "u y", "v x"]
+        check_invariant(verdict.invariant, needs_nonlinear, F("p -> q"))
 
     def test_refutes_with_larger_cap(self, needs_nonlinear):
         verdict = decide(needs_nonlinear, F("p -> q"), Budgets(2_000, 1_000_000, 5))
@@ -624,14 +635,15 @@ class TestDecide:
 
     @pytest.mark.parametrize(
         "budgets,kind",
-        [(Budgets(2_000, 1_000_000, 5), Refuted), (Budgets(2_000, 100_000, 4), Unknown)],
+        [(Budgets(2_000, 1_000_000, 5), Refuted), (Budgets(2_000, 100_000, 4, 0), Unknown),
+         (Budgets(2_000, 100_000, 4), Refuted)],
     )
     def test_repeated_calls_agree(self, needs_nonlinear, budgets, kind):
         # the second call replays memoized algebras; nothing may change
         first = decide(needs_nonlinear, F("p -> q"), budgets)
         second = decide(needs_nonlinear, F("p -> q"), budgets)
         assert isinstance(first, kind)
-        # compares the algebra, the evaluation and the budget report
+        # compares the algebra, the evaluation, the invariant and the budget report
         assert first == second
 
     def test_verdicts_are_exclusive_and_certified(self, pomonoids_upto_3):
@@ -655,6 +667,130 @@ class TestDecide:
                 assert is_model(verdict.evaluation, theory)
                 assert not satisfies(verdict.evaluation, query)
         assert "Proved" in seen and "Refuted" in seen
+
+
+def _naive_basis(theory, query):
+    """The fixpoint built with predecessors m - gain, cut off at 0, instead of
+    max(ant, m - gain): it leaves out that a rule needs its antecedent."""
+    space = formula._CountVectors(entail._universe(theory, query), theory.distinct_formulas())
+    basis = {space.vec(query.consequent)}
+    todo = list(basis)
+    for m in todo:
+        if m not in basis:
+            continue
+        for _, _, gain in space.rules:
+            p = tuple(max(0, c - g) for c, g in zip(m, gain))
+            if any(all(x <= y for x, y in zip(b, p)) for b in basis):
+                continue
+            basis = {b for b in basis if not all(x <= y for x, y in zip(p, b))}
+            basis.add(p)
+            todo.append(p)
+    return tuple(map(space.unvec, basis))
+
+
+class TestCoverabilityBasis:
+    """The basis ``decide`` refutes with once the sweep is exhausted, against
+    the BFS, ``member`` and mutated certificates."""
+
+    @staticmethod
+    def _instances(seed, count):
+        rng = random.Random(seed)
+        names = ("a", "b", "c")
+        for _ in range(count):
+            theory = Theory(tuple(
+                Mfd(rand_multiset(rng, names, 3), rand_multiset(rng, names, 3))
+                for _ in range(rng.randint(1, 3))
+            ))
+            yield theory, Mfd(rand_multiset(rng, names, 3), rand_multiset(rng, names, 3))
+
+    def test_agrees_with_bfs_and_member(self):
+        seen = Counter()
+        for theory, query in self._instances(1717, 600):
+            # a cap no instance here reaches: None means provable
+            invariant = entail._refuting_invariant(theory, query, 10_000)
+            if is_non_contracting_theory(theory):
+                assert (invariant is None) == member(theory, query)
+                seen["member", invariant is None] += 1
+                continue
+            bfs = bfs_prove(theory, query, 2_000)
+            if isinstance(bfs, Proved):
+                assert invariant is None
+                seen["proved"] += 1
+            elif bfs.report.bfs_exhausted:
+                assert invariant is not None
+                seen["exhausted"] += 1
+            else:
+                seen["budget", invariant is None] += 1
+        # where the BFS ran out, the basis refuted every one
+        assert min(seen.values()) >= 10 and len(seen) == 5, seen
+
+    def _decided_invariants(self):
+        # the one-element algebra refutes nothing, so the sweep ends at once
+        for theory, query in self._instances(4242, 400):
+            verdict = decide(theory, query, Budgets(500, 10_000, 1))
+            if isinstance(verdict, Refuted) and verdict.method == "invariant":
+                yield theory, query, verdict
+
+    def test_check_accepts_decide_and_rejects_mutants(self):
+        naive = Counter()
+        refuted = 0
+        for theory, query, verdict in self._decided_invariants():
+            refuted += 1
+            invariant = verdict.invariant
+            assert verdict.query == query and verdict.algebra is None
+            check_invariant(invariant, theory, query)
+            assert verdict_from_json(verdict_to_json(verdict)) == verdict
+            for k in range(len(invariant)):
+                dropped = invariant[:k] + invariant[k + 1:]
+                with pytest.raises(ProofError):
+                    check_invariant(dropped, theory, query)
+                # one more of an attribute in one element
+                raised = dropped + (invariant[k].union(M("a")),)
+                with pytest.raises(ProofError):
+                    check_invariant(raised, theory, query)
+            below = AttributeMultiset(
+                {name: random.Random(refuted).randint(0, mult)
+                 for name, mult in query.antecedent.items()})
+            with pytest.raises(ProofError, match="holds the antecedent"):
+                check_invariant(invariant + (below,), theory, query)
+            # m - gain only drops elements lower: the naive fixpoint is a
+            # larger upward closed set; where it takes in the antecedent it
+            # is refused, elsewhere it is a true (coarser) invariant
+            coarse = _naive_basis(theory, query)
+            if any(query.antecedent.contains_multiset(e) for e in coarse):
+                with pytest.raises(ProofError, match="holds the antecedent"):
+                    check_invariant(coarse, theory, query)
+                naive["rejected"] += 1
+            else:
+                check_invariant(coarse, theory, query)
+                naive["accepted"] += 1
+        assert refuted >= 40 and naive["rejected"] >= 3, (refuted, naive)
+
+    def test_cap_counts_replaced_vectors(self):
+        # from a^100 each a^k b replaces a^(k+1) b: 100 vectors are added
+        # for a basis of 2; nothing fires from c, and one element refutes nothing
+        theory = parse_theory("a b -> a a b\nc c -> c")
+        query = Mfd(M("c"), M("a").power(100))
+        tight = Budgets(bfs_nodes=10, max_algebra_size=1)
+        verdict = decide(theory, query, replace(tight, basis_elements=100))
+        assert verdict.method == "invariant"
+        assert [format_multiset(m) for m in verdict.invariant] == [format_multiset(query.consequent), "a b"]
+        for cap in (0, 1, 64, 99):
+            off = decide(theory, query, replace(tight, basis_elements=cap))
+            assert isinstance(off, Unknown) and off.report.models_exhausted
+
+    def test_counter_hands_back_to_the_bfs(self):
+        # a^n b -> b^(n+1) under a b -> b b: the basis grows one vector per
+        # step, so past the cap the BFS proves it, after the sweep is done
+        theory = parse_theory("a b -> b b")
+        query = Mfd(M("a").power(100).union(M("b")), M("b").power(101))
+        space = formula._CountVectors(entail._universe(theory, query), theory.distinct_formulas())
+        start, goal = space.vec(query.antecedent), space.vec(query.consequent)
+        assert entail._coverability_basis(space, start, goal, 64) is None
+        assert entail._coverability_basis(space, (99, 1), goal, 10**4) == [
+            (k, 101 - k) for k in range(100, -1, -1)]
+        verdict = decide(theory, query)
+        assert isinstance(verdict, Proved) and len(verdict.path) == 100
 
 
 class TestUnknownReportIsScheduleFree:
@@ -716,6 +852,8 @@ class TestBudgetsContract:
         ("model_evals", -3, ValueError, "model_evals must not be negative, got -3"),
         ("max_algebra_size", 0, ValueError, "max_algebra_size must be in 1..6, got 0"),
         ("max_algebra_size", 7, ValueError, "max_algebra_size must be in 1..6, got 7"),
+        ("basis_elements", 1.5, TypeError, "basis_elements must be an int, not float"),
+        ("basis_elements", -1, ValueError, "basis_elements must not be negative, got -1"),
     ]
 
     @staticmethod
@@ -725,7 +863,7 @@ class TestBudgetsContract:
         calls = {"decide": lambda: decide(theory, query, Budgets(**{name: value}))}
         if name == "bfs_nodes":
             calls["bfs_prove"] = lambda: bfs_prove(theory, query, value)
-        else:
+        elif name != "basis_elements":
             keyword = {"model_evals": "budget", "max_algebra_size": "max_size"}[name]
             calls["find_countermodel"] = lambda: find_countermodel(theory, query, **{keyword: value})
         return calls
@@ -739,9 +877,11 @@ class TestBudgetsContract:
             assert (type(info.value), str(info.value)) == (error, message), entry
 
     @pytest.mark.parametrize("instance", INSTANCES)
-    @pytest.mark.parametrize("name", ["bfs_nodes", "model_evals", "max_algebra_size"])
+    @pytest.mark.parametrize("name", ["bfs_nodes", "model_evals", "max_algebra_size",
+                                      "basis_elements"])
     def test_numpy_ints_act_as_ints(self, instance, name):
-        limits = {"bfs_nodes": 50, "model_evals": 500, "max_algebra_size": 3}
+        limits = {"bfs_nodes": 50, "model_evals": 500, "max_algebra_size": 3,
+                  "basis_elements": 8}
         budgets = Budgets(**{**limits, name: np.int64(limits[name])})
         assert type(getattr(budgets, name)) is int and budgets == Budgets(**limits)
 
@@ -872,6 +1012,21 @@ class TestDeductionWitness:
         assert verdict.report.bfs_nodes_used == 3
         assert deduction_witness(theory, M("a"), M("d"), 3) == 1
 
+    def test_invariant_power_is_stepped_past(self):
+        # p -> p q is unprovable, as p is used up, but s -> s s makes its
+        # rewrite graph infinite and one element refutes nothing: the basis
+        # refutes n = 1, and p p -> p q s proves n = 2
+        theory = parse_theory("p -> q s\ns -> s s")
+        tight = Budgets(bfs_nodes=5, max_algebra_size=1)
+        assert deduction_witness(theory, M("p"), M("p q"), 3, tight) == 2
+        refuted = decide(theory, F("p -> p q"), tight)
+        assert refuted.method == "invariant"
+        check_invariant(refuted.invariant, theory, F("p -> p q"))
+        # without the basis, n = 1 is where it stops
+        off = deduction_witness(theory, M("p"), M("p q"), 3, replace(tight, basis_elements=0))
+        assert isinstance(off, Unknown) and off.query == F("p -> p q")
+        assert not off.report.bfs_exhausted
+
 
 # ============================================================
 # Classical comparison point
@@ -920,9 +1075,10 @@ class TestClassicalEntails:
 # ============================================================
 
 
-def _pinned_cases():
+def _pinned_cases(basis_elements):
     """Seeded small theories, every other one non-contracting, each with a
-    query and one of a few budget mixes (zero budgets included)."""
+    query and one of a few budget mixes (zero budgets included), each mix
+    with the given cap on the coverability basis."""
     rng = random.Random(2718)
     names = ("a", "b", "c")
     mixes = (Budgets(0, 0, 1), Budgets(1, 10, 2), Budgets(40, 500, 2),
@@ -934,31 +1090,58 @@ def _pinned_cases():
             extra = rand_multiset(rng, names, 2)
             formulas.append(Mfd(ant, ant.union(extra) if i % 2 == 0 else extra))
         query = Mfd(rand_multiset(rng, names, 3), rand_multiset(rng, names, 3))
-        yield Theory(tuple(formulas)), query, mixes[rng.randrange(len(mixes))]
+        mix = mixes[rng.randrange(len(mixes))]
+        yield Theory(tuple(formulas)), query, replace(mix, basis_elements=basis_elements)
+
+
+def _pinned_run(basis_elements):
+    """The digest of the pinned corpus, the count of each verdict kind, and
+    the verdicts."""
+    h = hashlib.sha256()
+    kinds = Counter()
+    verdicts = []
+    for theory, query, budgets in _pinned_cases(basis_elements):
+        verdict = decide(theory, query, budgets)
+        verdicts.append((theory, verdict))
+        kinds[type(verdict).__name__, getattr(verdict, "method", "")] += 1
+        h.update(json.dumps(verdict_to_json(verdict), sort_keys=True).encode())
+        if is_non_contracting_theory(theory):
+            t = member_trace(theory, query)
+            h.update(repr((t.fresh_var, t.counter_final, t.result)).encode())
+            for p in t.passes:
+                h.update(format_multiset(p.snapshot).encode())
+                h.update("|".join(map(format_mfd, p.fired)).encode())
+    return h.hexdigest(), kinds, verdicts
 
 
 class TestPinnedOutput:
     """Every engine's output on a fixed corpus, pinned by one digest.
 
     The digest covers each ``decide`` verdict as ``verdict_to_json`` writes
-    it (paths, certificates, countermodels, budget reports) and, for the
-    non-contracting theories, every pass of ``member_trace``.  A change to
-    any engine's output shows up here even where the verdict kind stays."""
+    it (paths, certificates, countermodels, invariants, budget reports)
+    and, for the non-contracting theories, every pass of ``member_trace``.
+    A change to any engine's output shows up here even where the verdict
+    kind stays.  With the coverability basis off, the output is the one
+    pinned before the basis existed."""
 
     DIGEST = "3353edae4d15bc2444fb21cf74a1fc592ac81115bba334aced4309cdaf636f39"
+    DIGEST_WITH_BASIS = "6182e4e818dbb7bb61d4914b1183e3063d50bdea041fa7d679e8b4e48f2b6d17"
 
     def test_digest(self):
-        h = hashlib.sha256()
-        kinds = Counter()
-        for theory, query, budgets in _pinned_cases():
-            verdict = decide(theory, query, budgets)
-            kinds[type(verdict).__name__, getattr(verdict, "method", "")] += 1
-            h.update(json.dumps(verdict_to_json(verdict), sort_keys=True).encode())
-            if is_non_contracting_theory(theory):
-                t = member_trace(theory, query)
-                h.update(repr((t.fresh_var, t.counter_final, t.result)).encode())
-                for p in t.passes:
-                    h.update(format_multiset(p.snapshot).encode())
-                    h.update("|".join(map(format_mfd, p.fired)).encode())
+        digest, kinds, _ = _pinned_run(basis_elements=0)
         assert len(kinds) == 4 and min(kinds.values()) >= 15, kinds
-        assert h.hexdigest() == self.DIGEST, h.hexdigest()
+        assert digest == self.DIGEST, digest
+
+    def test_digest_with_basis(self):
+        digest, kinds, verdicts = _pinned_run(Budgets.basis_elements)
+        _, kinds_off, verdicts_off = _pinned_run(basis_elements=0)
+        # the basis only turns Unknowns into checked invariant refutations
+        invariant = ("Refuted", "invariant")
+        assert set(kinds) == set(kinds_off) | {invariant} and len(kinds) == 5, kinds
+        assert kinds_off - kinds == Counter({("Unknown", ""): kinds[invariant]}), kinds
+        for (theory, verdict), (_, off) in zip(verdicts, verdicts_off):
+            if verdict != off:
+                assert isinstance(off, Unknown) and off.report.models_exhausted
+                assert verdict.method == "invariant"
+                check_invariant(verdict.invariant, theory, verdict.query)
+        assert digest == self.DIGEST_WITH_BASIS, digest
