@@ -107,9 +107,7 @@ class RewritePath:
 @dataclass(frozen=True)
 class Budgets:
     """Search limits: BFS nodes (contracting theories only: ``decide`` runs
-    no BFS on a non-contracting one), model evaluations, largest algebra,
-    and vectors the coverability basis may add, replaced ones included
-    (0 turns the basis off).
+    no BFS on a non-contracting one), model evaluations and largest algebra.
 
     Checked when built, so the theory and query never decide whether a
     limit is valid: each field must be an int (an integer type such as
@@ -119,7 +117,6 @@ class Budgets:
     bfs_nodes: int = 100_000
     model_evals: int = 1_000_000
     max_algebra_size: int = 5
-    basis_elements: int = 64
 
     def __post_init__(self):
         for field in fields(self):
@@ -465,6 +462,10 @@ def find_countermodel(
 # The coverability basis
 # =====================================================================
 
+# Vectors the basis search in ``decide`` may add, replaced ones included:
+# bounds its time on queries whose basis keeps growing, such as counters.
+_BASIS_CAP = 64
+
 
 def _coverability_basis(
     space: _CountVectors, start: tuple, goal: tuple, cap: int
@@ -524,11 +525,11 @@ def _refuting_invariant(
 # =====================================================================
 
 
-def _search(theory: Theory, query: Mfd, prover, refuter, basis_elements: int) -> Verdict:
+def _search(theory: Theory, query: Mfd, prover, refuter, basis_cap: int) -> Verdict:
     """Drive a ``_bfs_engine`` and a ``_countermodel_engine`` (either may be
     None), one BFS layer against one algebra sweep, first hit wins.  Once
     the sweep has covered every algebra, a coverability basis found within
-    ``basis_elements`` additions (0: none is sought) that leaves out the
+    ``basis_cap`` additions (0: none is sought) that leaves out the
     antecedent refutes the query.  When both run out, the Unknown carries what both
     spent: each engine's last event holds its running totals, so the report
     is built once, at the end."""
@@ -551,8 +552,8 @@ def _search(theory: Theory, query: Mfd, prover, refuter, basis_elements: int) ->
             evals, scanned, models_done = event[1], event[2], event[0] == "exhausted"
             if event[0] != "algebra":
                 refuter = None
-            if models_done and basis_elements:
-                invariant = _refuting_invariant(theory, query, basis_elements)
+            if models_done and basis_cap:
+                invariant = _refuting_invariant(theory, query, basis_cap)
                 if invariant is not None:
                     return Refuted(query, "invariant", invariant=invariant)
     return Unknown(query, BudgetReport(nodes, graph_done, evals, scanned, models_done))
@@ -591,10 +592,11 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     one BFS layer against one algebra sweep, first hit wins.  When the sweep
     has covered every algebra up to ``budgets.max_algebra_size`` without a
     countermodel, the coverability basis of the consequent is computed, with
-    at most ``budgets.basis_elements`` vectors added; if it leaves out the
+    at most ``_BASIS_CAP`` (64) vectors added; if it leaves out the
     antecedent, the query is refuted by that basis (method ``"invariant"``).
     If it shows the query provable or outgrows its cap, the BFS runs on as
-    before, so every other verdict is what it would be without the basis.
+    before, so every other verdict is what it would be without the basis;
+    an Unknown's report counts only what the BFS and the sweep spent.
     A sweep cut short by ``model_evals`` computes no basis.
     """
     if is_non_contracting_theory(theory):
@@ -608,7 +610,7 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     refuter = _countermodel_engine(
         theory, query, budgets.max_algebra_size, budgets.model_evals
     )
-    return _search(theory, query, prover, refuter, budgets.basis_elements)
+    return _search(theory, query, prover, refuter, _BASIS_CAP)
 
 
 def deduction_witness(

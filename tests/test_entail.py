@@ -5,7 +5,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -613,9 +613,10 @@ class TestDecide:
             models_exhausted=False,
         )
 
-    def test_unknown_when_nothing_small_refutes(self, needs_nonlinear):
+    def test_unknown_when_nothing_small_refutes(self, needs_nonlinear, monkeypatch):
         # the only refuting algebra has five elements; no basis is computed
-        verdict = decide(needs_nonlinear, F("p -> q"), Budgets(2_000, 100_000, 4, 0))
+        monkeypatch.setattr(entail, "_BASIS_CAP", 0)
+        verdict = decide(needs_nonlinear, F("p -> q"), Budgets(2_000, 100_000, 4))
         assert isinstance(verdict, Unknown)
         assert verdict.report.models_exhausted is True
 
@@ -634,12 +635,15 @@ class TestDecide:
         assert verdict.algebra.size == 5
 
     @pytest.mark.parametrize(
-        "budgets,kind",
-        [(Budgets(2_000, 1_000_000, 5), Refuted), (Budgets(2_000, 100_000, 4, 0), Unknown),
-         (Budgets(2_000, 100_000, 4), Refuted)],
+        "budgets,cap,kind",
+        [(Budgets(2_000, 1_000_000, 5), entail._BASIS_CAP, Refuted),
+         (Budgets(2_000, 100_000, 4), 0, Unknown),
+         (Budgets(2_000, 100_000, 4), entail._BASIS_CAP, Refuted)],
+        ids=["budgets0-Refuted", "budgets1-Unknown", "budgets2-Refuted"],
     )
-    def test_repeated_calls_agree(self, needs_nonlinear, budgets, kind):
+    def test_repeated_calls_agree(self, needs_nonlinear, budgets, cap, kind, monkeypatch):
         # the second call replays memoized algebras; nothing may change
+        monkeypatch.setattr(entail, "_BASIS_CAP", cap)
         first = decide(needs_nonlinear, F("p -> q"), budgets)
         second = decide(needs_nonlinear, F("p -> q"), budgets)
         assert isinstance(first, kind)
@@ -686,6 +690,35 @@ def _naive_basis(theory, query):
             basis.add(p)
             todo.append(p)
     return tuple(map(space.unvec, basis))
+
+
+def _refutes_by_forward_rewriting(invariant, theory, query):
+    """Whether ``invariant`` shows the query unprovable, checked forwards
+    with Counter arithmetic and without ``check_invariant``: its upward
+    closure U holds B, not A, and no multiset outside U rewrites in one step
+    into U.  Membership in U only sees counts up to K, the largest count in
+    an element, and a rule only tests counts up to its antecedent's, so the
+    multisets with every count at most K plus the largest antecedent count
+    stand for all of them."""
+    elements = [Counter(dict(e.items())) for e in invariant]
+
+    def covered(w):
+        return any(all(w[x] >= n for x, n in e.items()) for e in elements)
+
+    rules = [(Counter(dict(f.antecedent.items())), Counter(dict(f.consequent.items())))
+             for f in theory.formulas]
+    names = sorted(theory.variables | query.variables)
+    top = max((n for e in elements for n in e.values()), default=0)
+    top += max((n for ant, _ in rules for n in ant.values()), default=0)
+    for counts in product(range(top + 1), repeat=len(names)):
+        w = Counter(dict(zip(names, counts)))
+        if covered(w):
+            continue
+        for ant, con in rules:
+            if all(w[x] >= n for x, n in ant.items()) and covered(w - ant + con):
+                return False
+    return (covered(Counter(dict(query.consequent.items())))
+            and not covered(Counter(dict(query.antecedent.items()))))
 
 
 class TestCoverabilityBasis:
@@ -739,11 +772,13 @@ class TestCoverabilityBasis:
             invariant = verdict.invariant
             assert verdict.query == query and verdict.algebra is None
             check_invariant(invariant, theory, query)
+            assert _refutes_by_forward_rewriting(invariant, theory, query)
             assert verdict_from_json(verdict_to_json(verdict)) == verdict
             for k in range(len(invariant)):
                 dropped = invariant[:k] + invariant[k + 1:]
                 with pytest.raises(ProofError):
                     check_invariant(dropped, theory, query)
+                assert not _refutes_by_forward_rewriting(dropped, theory, query)
                 # one more of an attribute in one element
                 raised = dropped + (invariant[k].union(M("a")),)
                 with pytest.raises(ProofError):
@@ -766,17 +801,19 @@ class TestCoverabilityBasis:
                 naive["accepted"] += 1
         assert refuted >= 40 and naive["rejected"] >= 3, (refuted, naive)
 
-    def test_cap_counts_replaced_vectors(self):
+    def test_cap_counts_replaced_vectors(self, monkeypatch):
         # from a^100 each a^k b replaces a^(k+1) b: 100 vectors are added
         # for a basis of 2; nothing fires from c, and one element refutes nothing
         theory = parse_theory("a b -> a a b\nc c -> c")
         query = Mfd(M("c"), M("a").power(100))
         tight = Budgets(bfs_nodes=10, max_algebra_size=1)
-        verdict = decide(theory, query, replace(tight, basis_elements=100))
+        monkeypatch.setattr(entail, "_BASIS_CAP", 100)
+        verdict = decide(theory, query, tight)
         assert verdict.method == "invariant"
         assert [format_multiset(m) for m in verdict.invariant] == [format_multiset(query.consequent), "a b"]
         for cap in (0, 1, 64, 99):
-            off = decide(theory, query, replace(tight, basis_elements=cap))
+            monkeypatch.setattr(entail, "_BASIS_CAP", cap)
+            off = decide(theory, query, tight)
             assert isinstance(off, Unknown) and off.report.models_exhausted
 
     def test_counter_hands_back_to_the_bfs(self):
@@ -852,8 +889,6 @@ class TestBudgetsContract:
         ("model_evals", -3, ValueError, "model_evals must not be negative, got -3"),
         ("max_algebra_size", 0, ValueError, "max_algebra_size must be in 1..6, got 0"),
         ("max_algebra_size", 7, ValueError, "max_algebra_size must be in 1..6, got 7"),
-        ("basis_elements", 1.5, TypeError, "basis_elements must be an int, not float"),
-        ("basis_elements", -1, ValueError, "basis_elements must not be negative, got -1"),
     ]
 
     @staticmethod
@@ -863,7 +898,7 @@ class TestBudgetsContract:
         calls = {"decide": lambda: decide(theory, query, Budgets(**{name: value}))}
         if name == "bfs_nodes":
             calls["bfs_prove"] = lambda: bfs_prove(theory, query, value)
-        elif name != "basis_elements":
+        else:
             keyword = {"model_evals": "budget", "max_algebra_size": "max_size"}[name]
             calls["find_countermodel"] = lambda: find_countermodel(theory, query, **{keyword: value})
         return calls
@@ -877,11 +912,9 @@ class TestBudgetsContract:
             assert (type(info.value), str(info.value)) == (error, message), entry
 
     @pytest.mark.parametrize("instance", INSTANCES)
-    @pytest.mark.parametrize("name", ["bfs_nodes", "model_evals", "max_algebra_size",
-                                      "basis_elements"])
+    @pytest.mark.parametrize("name", ["bfs_nodes", "model_evals", "max_algebra_size"])
     def test_numpy_ints_act_as_ints(self, instance, name):
-        limits = {"bfs_nodes": 50, "model_evals": 500, "max_algebra_size": 3,
-                  "basis_elements": 8}
+        limits = {"bfs_nodes": 50, "model_evals": 500, "max_algebra_size": 3}
         budgets = Budgets(**{**limits, name: np.int64(limits[name])})
         assert type(getattr(budgets, name)) is int and budgets == Budgets(**limits)
 
@@ -1012,7 +1045,7 @@ class TestDeductionWitness:
         assert verdict.report.bfs_nodes_used == 3
         assert deduction_witness(theory, M("a"), M("d"), 3) == 1
 
-    def test_invariant_power_is_stepped_past(self):
+    def test_invariant_power_is_stepped_past(self, monkeypatch):
         # p -> p q is unprovable, as p is used up, but s -> s s makes its
         # rewrite graph infinite and one element refutes nothing: the basis
         # refutes n = 1, and p p -> p q s proves n = 2
@@ -1023,7 +1056,8 @@ class TestDeductionWitness:
         assert refuted.method == "invariant"
         check_invariant(refuted.invariant, theory, F("p -> p q"))
         # without the basis, n = 1 is where it stops
-        off = deduction_witness(theory, M("p"), M("p q"), 3, replace(tight, basis_elements=0))
+        monkeypatch.setattr(entail, "_BASIS_CAP", 0)
+        off = deduction_witness(theory, M("p"), M("p q"), 3, tight)
         assert isinstance(off, Unknown) and off.query == F("p -> p q")
         assert not off.report.bfs_exhausted
 
@@ -1075,10 +1109,9 @@ class TestClassicalEntails:
 # ============================================================
 
 
-def _pinned_cases(basis_elements):
+def _pinned_cases():
     """Seeded small theories, every other one non-contracting, each with a
-    query and one of a few budget mixes (zero budgets included), each mix
-    with the given cap on the coverability basis."""
+    query and one of a few budget mixes (zero budgets included)."""
     rng = random.Random(2718)
     names = ("a", "b", "c")
     mixes = (Budgets(0, 0, 1), Budgets(1, 10, 2), Budgets(40, 500, 2),
@@ -1091,16 +1124,17 @@ def _pinned_cases(basis_elements):
             formulas.append(Mfd(ant, ant.union(extra) if i % 2 == 0 else extra))
         query = Mfd(rand_multiset(rng, names, 3), rand_multiset(rng, names, 3))
         mix = mixes[rng.randrange(len(mixes))]
-        yield Theory(tuple(formulas)), query, replace(mix, basis_elements=basis_elements)
+        yield Theory(tuple(formulas)), query, mix
 
 
-def _pinned_run(basis_elements):
+def _pinned_run(monkeypatch, basis_cap):
     """The digest of the pinned corpus, the count of each verdict kind, and
-    the verdicts."""
+    the verdicts, with ``basis_cap`` as ``decide``'s cap on the basis."""
+    monkeypatch.setattr(entail, "_BASIS_CAP", basis_cap)
     h = hashlib.sha256()
     kinds = Counter()
     verdicts = []
-    for theory, query, budgets in _pinned_cases(basis_elements):
+    for theory, query, budgets in _pinned_cases():
         verdict = decide(theory, query, budgets)
         verdicts.append((theory, verdict))
         kinds[type(verdict).__name__, getattr(verdict, "method", "")] += 1
@@ -1127,14 +1161,14 @@ class TestPinnedOutput:
     DIGEST = "3353edae4d15bc2444fb21cf74a1fc592ac81115bba334aced4309cdaf636f39"
     DIGEST_WITH_BASIS = "6182e4e818dbb7bb61d4914b1183e3063d50bdea041fa7d679e8b4e48f2b6d17"
 
-    def test_digest(self):
-        digest, kinds, _ = _pinned_run(basis_elements=0)
+    def test_digest(self, monkeypatch):
+        digest, kinds, _ = _pinned_run(monkeypatch, 0)
         assert len(kinds) == 4 and min(kinds.values()) >= 15, kinds
         assert digest == self.DIGEST, digest
 
-    def test_digest_with_basis(self):
-        digest, kinds, verdicts = _pinned_run(Budgets.basis_elements)
-        _, kinds_off, verdicts_off = _pinned_run(basis_elements=0)
+    def test_digest_with_basis(self, monkeypatch):
+        digest, kinds, verdicts = _pinned_run(monkeypatch, entail._BASIS_CAP)
+        _, kinds_off, verdicts_off = _pinned_run(monkeypatch, 0)
         # the basis only turns Unknowns into checked invariant refutations
         invariant = ("Refuted", "invariant")
         assert set(kinds) == set(kinds_off) | {invariant} and len(kinds) == 5, kinds
@@ -1144,4 +1178,5 @@ class TestPinnedOutput:
                 assert isinstance(off, Unknown) and off.report.models_exhausted
                 assert verdict.method == "invariant"
                 check_invariant(verdict.invariant, theory, verdict.query)
+                assert _refutes_by_forward_rewriting(verdict.invariant, theory, verdict.query)
         assert digest == self.DIGEST_WITH_BASIS, digest
