@@ -13,8 +13,8 @@ one degree is at least another.  Three families live here:
 
 Besides evaluation of multisets and satisfaction of dependencies, the module
 can exhaustively enumerate all finite integral commutative pomonoids up to a
-size cap (deduplicated up to isomorphism) and complete any finite pomonoid
-into a residuated lattice of downsets; both power the countermodel search.
+size cap (deduplicated up to isomorphism), which powers the countermodel
+search, and complete a finite pomonoid into a residuated lattice of downsets.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ __all__ = [
 
 # Enumeration beyond this carrier size is refused; the search space explodes.
 ENUMERATION_SIZE_CAP = 6
+# Completions with more downsets are refused; k incomparable elements have 2^k.
+_COMPLETION_CAP = 256
 
 
 def _as_int(value, name: str) -> int:
@@ -540,30 +542,43 @@ def _matrix(flat: Tuple[bool, ...], n: int) -> Tuple[Tuple[bool, ...], ...]:
     return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
+def _downsets(leq: Sequence[Sequence[bool]], cap: Optional[int] = None) -> List[int]:
+    """Every downset of ``leq`` as a bitmask, by size, then sorted members.
+
+    A downset plus an element whose strict lower set it holds is again a
+    downset, and each one arises so from itself minus a maximal element.
+    Grown from the empty set one size at a time, the work follows their
+    number, not 2^n.  Past ``cap`` downsets, InvalidAlgebraError."""
+    n = len(leq)
+    strictly_below = [sum(1 << y for y in range(n) if y != x and leq[y][x]) for x in range(n)]
+    found, layer = [0], [0]
+    while layer:
+        grown = {d | 1 << x for d in layer for x in range(n)
+                 if not d >> x & 1 and not strictly_below[x] & ~d}
+        layer = sorted(grown, key=lambda d: [x for x in range(n) if d >> x & 1])
+        found += layer
+        if cap is not None and len(found) > cap:
+            raise InvalidAlgebraError(f"over the completion cap of {cap}: {len(found)} downsets")
+    return found
+
+
 def _poset_classes(n: int) -> List[Tuple[Tuple[bool, ...], ...]]:
     """One canonical leq matrix per isomorphism class of posets on n points."""
     classes: List[Tuple[Tuple[bool, ...], ...]] = [()]
     for k in range(1, n + 1):
         m = k - 1
-        subsets = list(itertools.chain.from_iterable(
-            itertools.combinations(range(m), r) for r in range(m + 1)
-        ))
         seen = set()
         for leq in classes:
-            down = [s for s in subsets
-                    if all(leq[y][x] <= (y in s) for x in s for y in range(m))]
-            up = [s for s in subsets
-                  if all(leq[x][y] <= (y in s) for x in s for y in range(m))]
-            for d in down:
-                dset = set(d)
-                for u in up:
-                    if dset & set(u):
+            # the new point goes above a down-set d and below an up-set u
+            # (a downset of the transposed order) outside d and above all of d
+            above = [sum(1 << y for y in range(m) if leq[x][y]) for x in range(m)]
+            ups = _downsets([[leq[x][y] for x in range(m)] for y in range(m)])
+            for d in _downsets(leq):
+                for u in ups:
+                    if u & d or any(u & ~above[x] for x in range(m) if d >> x & 1):
                         continue
-                    if not all(leq[x][y] for x in d for y in u):
-                        continue
-                    uset = set(u)
-                    rows = [leq[i] + ((i in dset),) for i in range(m)]
-                    rows.append(tuple((j in uset) for j in range(m)) + (True,))
+                    rows = [leq[i] + (bool(d >> i & 1),) for i in range(m)]
+                    rows.append(tuple(bool(u >> j & 1) for j in range(m)) + (True,))
                     seen.add(_canonical_order(rows)[0])
         classes = [_matrix(flat, k) for flat in seen]
     return classes
@@ -682,52 +697,34 @@ def downset_completion(
     is the largest downset whose product with the left argument stays inside
     the right one.  Returns the lattice and the embedding that sends each
     element to its principal downset; the embedding preserves products, the
-    unit and the order in both directions.
+    unit and the order in both directions.  Downsets are listed by size,
+    then sorted members.  The tables take about m^2 * n steps for m
+    downsets; past _COMPLETION_CAP of them, InvalidAlgebraError.
     """
     n = p.size
     leq = p.leq_table
-    downsets: List[frozenset] = []
-    for bits in range(1 << n):
-        s = frozenset(i for i in range(n) if bits >> i & 1)
-        if all(leq[y][x] <= (y in s) for x in s for y in range(n)):
-            downsets.append(s)
-    downsets.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    index = {s: i for i, s in enumerate(downsets)}
-    m = len(downsets)
+    downsets = _downsets(leq, _COMPLETION_CAP)
+    index = {d: i for i, d in enumerate(downsets)}
+    members = [[x for x in range(n) if d >> x & 1] for d in downsets]
+    below = [sum(1 << x for x in range(n) if leq[x][a]) for a in range(n)]
+    # product[i][b]: the downset generated by downset i times element b
+    product = [[functools.reduce(operator.or_, (below[p.times_table[a][b]] for a in xs), 0)
+                for b in range(n)] for xs in members]
 
-    def down_product(x: frozenset, y: frozenset) -> frozenset:
-        prods = {p.times_table[a][b] for a in x for b in y}
-        return frozenset(z for z in range(n) if any(leq[z][w] for w in prods))
-
-    full = frozenset(range(n))
-    unit_idx = index[full]
-    bottom_idx = index[frozenset()]
-    names = tuple(
-        "{" + ",".join(p.element_names[i] for i in sorted(s)) + "}" for s in downsets
-    )
-    leq_table = [[downsets[a] <= downsets[b] for b in range(m)] for a in range(m)]
-    times_table = [[index[down_product(downsets[a], downsets[b])] for b in range(m)] for a in range(m)]
-    meet_table = [[index[downsets[a] & downsets[b]] for b in range(m)] for a in range(m)]
-    join_table = [[index[downsets[a] | downsets[b]] for b in range(m)] for a in range(m)]
-
-    residuum_table = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            x, y = downsets[a], downsets[b]
-            members = frozenset(
-                z for z in range(n) if down_product(x, frozenset((z,))) <= y
-            )
-            row.append(index[members])
-        residuum_table.append(row)
+    names = tuple("{" + ",".join(p.element_names[x] for x in xs) + "}" for xs in members)
+    leq_table = [[not a & ~b for b in downsets] for a in downsets]
+    times_table = [[index[functools.reduce(operator.or_, (row[b] for b in ys), 0)]
+                    for ys in members] for row in product]
+    meet_table = [[index[a & b] for b in downsets] for a in downsets]
+    join_table = [[index[a | b] for b in downsets] for a in downsets]
+    residuum_table = [[index[sum(1 << z for z in range(n) if not row[z] & ~b)]
+                       for b in downsets] for row in product]
 
     lattice = FiniteResiduatedLattice(
-        names, unit_idx, leq_table, times_table, bottom_idx, meet_table, join_table, residuum_table
+        names, index[(1 << n) - 1], leq_table, times_table, index[0], meet_table, join_table,
+        residuum_table,
     )
-    embedding = tuple(
-        index[frozenset(x for x in range(n) if leq[x][a])] for a in range(n)
-    )
-    return lattice, embedding
+    return lattice, tuple(index[below[a]] for a in range(n))
 
 
 # =====================================================================
