@@ -145,13 +145,17 @@ class FinitePomonoid:
         self._np = None
 
     def __setattr__(self, name: str, value) -> None:
-        # enumerated algebras are shared; copy and pickle only fill unset slots
+        # enumerated algebras are shared, so a slot is set once; copies and
+        # pickles rebuild through __init__ (see __reduce__)
         if hasattr(self, name):
             raise AttributeError(f"{type(self).__name__}.{name} cannot be reassigned")
         object.__setattr__(self, name, value)
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__}.{name} cannot be deleted")
+
+    def __reduce__(self):
+        return FinitePomonoid, (self.element_names, self.unit, self.leq_table, self.times_table)
 
     @property
     def size(self) -> int:
@@ -264,6 +268,12 @@ class FiniteResiduatedLattice(FinitePomonoid):
         self.join_table = _square("join", join_table, n)
         self.residuum_table = _square("residuum", residuum_table, n)
 
+    def __reduce__(self):
+        return FiniteResiduatedLattice, (
+            self.element_names, self.unit, self.leq_table, self.times_table,
+            self.bottom, self.meet_table, self.join_table, self.residuum_table,
+        )
+
     def meet(self, a: int, b: int) -> int:
         return self.meet_table[a][b]
 
@@ -291,6 +301,9 @@ class UnitIntervalPomonoid:
         if kind not in self.KINDS:
             raise ValueError(f"unknown unit-interval pomonoid kind {kind!r}")
         self.kind = kind
+
+    def __reduce__(self):
+        return UnitIntervalPomonoid, (self.kind,)
 
     @property
     def unit(self) -> float:

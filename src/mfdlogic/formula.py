@@ -112,6 +112,10 @@ class AttributeMultiset:
         out._hash = hash(out._key)
         return out
 
+    def __reduce__(self):
+        # slots without __getstate__ do not pickle at protocols 0 and 1
+        return AttributeMultiset, (self._key,)
+
     # -- basic queries -------------------------------------------------
 
     def __getitem__(self, name: str) -> int:

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from mfdlogic import enumerate_pomonoids, load_algebra, load_relation, parse_theory
+from mfdlogic import FinitePomonoid, enumerate_pomonoids, load_algebra, load_relation, parse_theory
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -56,6 +56,19 @@ def growth_chain():
 @pytest.fixture(scope="session")
 def nonlinear_algebra():
     return load_algebra(str(DATA / "nonlinear_pomonoid.json"))
+
+
+@pytest.fixture(scope="session")
+def wide_flat_algebra():
+    """Top, 30 idempotent atoms whose pairwise products are the bottom, and
+    the bottom: a valid pomonoid whose order has 2^30 + 2 downsets."""
+    n = 32
+    top, bottom = 0, n - 1
+    leq = [[a == b or b == top or a == bottom for b in range(n)] for a in range(n)]
+    times = [[b if a == top else a if b == top or a == b else bottom for b in range(n)]
+             for a in range(n)]
+    names = ["top", *(f"a{i}" for i in range(1, n - 1)), "bottom"]
+    return FinitePomonoid(names, top, leq, times)
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,15 @@ def find_refuting_evaluation(theory, query, algebras):
     return None
 
 
+def downsets(leq):
+    """Every downset of a finite order as a frozenset, by size and then
+    sorted members, found by testing all 2^n subsets."""
+    n = len(leq)
+    subsets = (frozenset(x for x in range(n) if bits >> x & 1) for bits in range(1 << n))
+    found = [s for s in subsets if all(y in s for x in s for y in range(n) if leq[y][x])]
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
 # =====================================================================
 # Rewriting reachability on Counters
 # =====================================================================

@@ -8,6 +8,8 @@ import json
 import math
 import pickle
 import random
+import re
+import time
 import types
 from fractions import Fraction
 
@@ -42,7 +44,9 @@ from mfdlogic import (
     validate_unit_interval,
 )
 from mfdlogic.algebra import (
+    _COMPLETION_CAP,
     _canonical_order,
+    _downsets,
     _matrix,
     _pomonoids_of_size,
     _poset_classes,
@@ -62,6 +66,23 @@ def relabeled(algebra, perm):
     ]
     names = tuple(f"v{i}" for i in range(n))
     return FinitePomonoid(names, inv[algebra.unit], leq, times)
+
+
+def goedel_chain(n):
+    """The chain c0 < c1 < ... < c(n-1) with the minimum as product."""
+    return FinitePomonoid(
+        [f"c{i}" for i in range(n)],
+        unit=n - 1,
+        leq_table=[[a <= b for b in range(n)] for a in range(n)],
+        times_table=[[min(a, b) for b in range(n)] for a in range(n)],
+    )
+
+
+def _pickled(protocol):
+    return lambda value: pickle.loads(pickle.dumps(value, protocol))
+
+
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 
 
 @pytest.fixture
@@ -231,18 +252,25 @@ class TestFinitePomonoid:
             shared.unit = 1
         assert tables() == before
 
-    def test_copies_and_pickles_round_trip(self, nonlinear_algebra):
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, *map(_pickled, PROTOCOLS)],
+        ids=["copy", "deepcopy", *(f"pickle{p}" for p in PROTOCOLS)],
+    )
+    def test_copies_and_pickles_round_trip(self, round_trip, nonlinear_algebra):
+        query = parse_mfd("a a b -> c")
         lattice, _ = downset_completion(nonlinear_algebra)
-        for algebra in (nonlinear_algebra, lattice):
-            algebra.np_tables()
-            for twin in (
-                copy.copy(algebra),
-                copy.deepcopy(algebra),
-                pickle.loads(pickle.dumps(algebra)),
-            ):
-                assert twin == algebra and twin is not algebra
-                assert twin.np_tables()[0].tolist() == [list(r) for r in algebra.times_table]
-        assert copy.deepcopy(lattice).bottom == lattice.bottom
+        values = (query.antecedent, query, parse_theory("a -> b\nb b -> c"),
+                  nonlinear_algebra, lattice, UnitIntervalPomonoid("min"))
+        for value in values:
+            if isinstance(value, FinitePomonoid):
+                value.np_tables()
+            twin = round_trip(value)
+            assert type(twin) is type(value) and twin is not value
+            assert twin == value and hash(twin) == hash(value)
+            if isinstance(value, FinitePomonoid):
+                assert algebra_to_json(twin) == algebra_to_json(value)
+                assert twin.np_tables()[0].tolist() == [list(r) for r in value.times_table]
 
     def test_describe_mentions_everything(self, nonlinear_algebra):
         text = nonlinear_algebra.describe()
@@ -465,6 +493,17 @@ class TestEnumeration:
             "069b14ba131f7377773a7382bb28f48acb22d267083f29e62db919aff9bf82a4"
         )
 
+    def test_completion_up_to_size6_is_pinned(self, nonlinear_algebra):
+        # element order, names and embedding of every completion are part
+        # of the output of mfd complete-algebra
+        digest = hashlib.sha256()
+        for p in (*enumerate_pomonoids(6), nonlinear_algebra):
+            lattice, embedding = downset_completion(p)
+            digest.update(json.dumps([algebra_to_json(lattice), embedding]).encode())
+        assert digest.hexdigest() == (
+            "e1e0de8548a7bec5608085411e277706a5e10b76d4c7e750755da3b5451de629"
+        )
+
     def test_canonical_orders_list_lower_elements_later(self):
         # the times-table search relies on this: when it fills a cell, the
         # cells of elements below either factor are still empty
@@ -582,6 +621,34 @@ class TestCanonicalForm:
 
 
 class TestDownsetCompletion:
+    def test_downsets_match_brute_force(self):
+        for n in range(6):
+            for leq in _poset_classes(n):
+                transposed = [[leq[b][a] for b in range(n)] for a in range(n)]
+                for order in (leq, transposed):
+                    expected = oracles.downsets(order)
+                    got = _downsets(order, cap=len(expected))
+                    assert [{x for x in range(n) if d >> x & 1} for d in got] == expected
+                    with pytest.raises(InvalidAlgebraError):
+                        _downsets(order, cap=len(expected) - 1)
+
+    def test_long_chain_completes_quickly(self):
+        start = time.process_time()
+        lattice, embedding = downset_completion(goedel_chain(64))
+        assert time.process_time() - start < 1.0
+        assert lattice.size == 65
+        assert embedding == tuple(range(1, 65))
+        assert validate(downset_completion(goedel_chain(16))[0]) == []
+
+    def test_wide_antichain_stops_at_the_cap(self, wide_flat_algebra):
+        assert validate(wide_flat_algebra) == []
+        start = time.process_time()
+        with pytest.raises(InvalidAlgebraError) as info:
+            downset_completion(wide_flat_algebra)
+        assert time.process_time() - start < 1.0
+        reached = int(re.search(r"(\d+) downsets", str(info.value)).group(1))
+        assert reached > _COMPLETION_CAP
+
     def test_sizes(self, bool2, nonlinear_algebra):
         trivial = next(iter(enumerate_pomonoids(1)))
         assert downset_completion(trivial)[0].size == 2

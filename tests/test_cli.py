@@ -6,6 +6,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ from mfdlogic import (
     Refuted,
     Unknown,
     algebra_from_json,
+    algebra_to_json,
     check_invariant,
     check_proof,
     decide,
@@ -511,6 +513,15 @@ class TestCompleteAlgebra:
         lattice = algebra_from_json(doc["lattice"])
         assert validate(lattice) == []
         assert doc["embedding"]["1"] == "{0,a,b,c,1}"
+
+    def test_over_the_cap_exits_64(self, run, tmp_path, wide_flat_algebra):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(algebra_to_json(wide_flat_algebra)))
+        start = time.process_time()
+        code, out, err = run("complete-algebra", str(path))
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "downsets" in err
 
     def test_rejects_unit_interval(self, run):
         code, out, err = run("complete-algebra", "product")
