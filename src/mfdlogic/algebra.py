@@ -154,8 +154,11 @@ class FinitePomonoid:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__}.{name} cannot be deleted")
 
+    def _fields(self) -> tuple:
+        return self.element_names, self.unit, self.leq_table, self.times_table
+
     def __reduce__(self):
-        return FinitePomonoid, (self.element_names, self.unit, self.leq_table, self.times_table)
+        return FinitePomonoid, self._fields()
 
     @property
     def size(self) -> int:
@@ -206,15 +209,10 @@ class FinitePomonoid:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinitePomonoid):
             return NotImplemented
-        return (
-            self.element_names == other.element_names
-            and self.unit == other.unit
-            and self.leq_table == other.leq_table
-            and self.times_table == other.times_table
-        )
+        return self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        return hash((self.element_names, self.unit, self.leq_table, self.times_table))
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         return f"<FinitePomonoid size={self.size} unit={self.element_names[self.unit]!r}>"
@@ -225,17 +223,12 @@ class FinitePomonoid:
         width = max(len(s) for s in names)
         pad = lambda s: s.rjust(width)
         lines = [f"elements: {' '.join(names)}   unit: {names[self.unit]}"]
-        lines.append("leq (row <= col):")
         header = " " * (width + 2) + " ".join(pad(s) for s in names)
-        lines.append(header)
-        for a in range(self.size):
-            row = " ".join(pad("1" if self.leq_table[a][b] else ".") for b in range(self.size))
-            lines.append(f"  {pad(names[a])} {row}")
-        lines.append("times:")
-        lines.append(header)
-        for a in range(self.size):
-            row = " ".join(pad(names[self.times_table[a][b]]) for b in range(self.size))
-            lines.append(f"  {pad(names[a])} {row}")
+        leq = [["1" if v else "." for v in row] for row in self.leq_table]
+        times = [[names[v] for v in row] for row in self.times_table]
+        for title, cells in (("leq (row <= col):", leq), ("times:", times)):
+            lines += [title, header]
+            lines += [f"  {pad(names[a])} {' '.join(map(pad, row))}" for a, row in enumerate(cells)]
         return "\n".join(lines)
 
 
@@ -774,14 +767,17 @@ def algebra_to_json(algebra: FinitePomonoid) -> dict:
     }
     if isinstance(algebra, FiniteResiduatedLattice):
         doc["bottom"] = names[algebra.bottom]
-        doc["meet"] = [[names[v] for v in row] for row in algebra.meet_table]
-        doc["join"] = [[names[v] for v in row] for row in algebra.join_table]
-        doc["residuum"] = [[names[v] for v in row] for row in algebra.residuum_table]
+        for key in ("meet", "join", "residuum"):
+            doc[key] = [[names[v] for v in row] for row in getattr(algebra, f"{key}_table")]
     return doc
 
 
 def algebra_from_json(doc: Mapping) -> FinitePomonoid:
     """Parse and validate a finite algebra description."""
+
+    def table(key: str) -> List[List[int]]:
+        return [[pos[str(v)] for v in row] for row in doc[key]]
+
     try:
         names = [str(x) for x in doc["elements"]]
         pos = {name: i for i, name in enumerate(names)}
@@ -789,17 +785,11 @@ def algebra_from_json(doc: Mapping) -> FinitePomonoid:
             raise InvalidAlgebraError("duplicate element names")
         unit = pos[doc["unit"]]
         leq = [[bool(v) for v in row] for row in doc["leq"]]
-        times = [[pos[str(v)] for v in row] for row in doc["times"]]
+        times = table("times")
         if "residuum" in doc or "meet" in doc or "join" in doc or "bottom" in doc:
             algebra: FinitePomonoid = FiniteResiduatedLattice(
-                names,
-                unit,
-                leq,
-                times,
-                pos[doc["bottom"]],
-                [[pos[str(v)] for v in row] for row in doc["meet"]],
-                [[pos[str(v)] for v in row] for row in doc["join"]],
-                [[pos[str(v)] for v in row] for row in doc["residuum"]],
+                names, unit, leq, times, pos[doc["bottom"]],
+                table("meet"), table("join"), table("residuum"),
             )
         else:
             algebra = FinitePomonoid(names, unit, leq, times)

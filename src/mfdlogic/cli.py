@@ -355,10 +355,7 @@ def _cmd_countermodel(args) -> int:
         else:
             print(f"no countermodel found up to size {args.max_size} within budget")
         return EXIT_UNKNOWN
-    algebra, evaluation = found
-    return _print_verdict(
-        entail.Refuted(query, "countermodel", algebra, evaluation), args.json
-    )
+    return _print_verdict(entail.Refuted(query, "countermodel", *found), args.json)
 
 
 def _cmd_classify(args) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, product
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -302,18 +302,6 @@ def bfs_prove(theory: Theory, query: Mfd, budget: int = Budgets.bfs_nodes) -> Ve
 # =====================================================================
 
 
-def _digits(index, s: int, k: int) -> list:
-    """The k base-s digits of ``index`` (an int or an int array), most
-    significant first.  Digits that are 0 for every index stay the int 0,
-    so no power of s beyond the index is ever formed and any k works."""
-    digits = [0] * k
-    pos = k - 1
-    while pos >= 0 and np.any(index):
-        index, digits[pos] = divmod(index, s)
-        pos -= 1
-    return digits
-
-
 # Evaluations per tile of the model sweep: what a sweep holds at once is a
 # few arrays of at most this many elements, whatever the budget.
 _TILE_EVALS = 1 << 14
@@ -328,11 +316,9 @@ def _tile_columns(s: int, m: int) -> tuple:
     """The cached low digit columns of a tile of s**m evaluations."""
     columns = _DIGIT_COLUMNS.get((s, m))
     if columns is None:
-        # for s > 1 every one of the m digits varies, so each is an array
-        columns = tuple(_digits(np.arange(s**m, dtype=np.int64), s, m))
-        for column in columns:
-            column.flags.writeable = False
-        _DIGIT_COLUMNS[s, m] = columns
+        grid = np.indices((s,) * m, dtype=np.int64).reshape(m, s**m)
+        grid.flags.writeable = False
+        columns = _DIGIT_COLUMNS[s, m] = tuple(grid)
     return columns
 
 
@@ -342,14 +328,15 @@ def _sweep_algebra(
     query: Mfd,
     variables: Sequence[str],
     limit: int,
-) -> Tuple[Optional[int], int]:
+) -> Tuple[Optional[tuple], int]:
     """Vectorized scan of evaluations of one algebra, in lexicographic
-    order of element indices (last variable fastest).  Returns the first
-    refuting evaluation index (or None) and how many were swept.
+    order of element indices (last variable fastest).  Returns the element
+    indices of the first refuting evaluation (or None) and how many
+    evaluations were swept.
 
-    The indices are covered in tiles of s**m, the largest power of the
+    The evaluations are covered in tiles of s**m, the largest power of the
     algebra size s within ``_TILE_EVALS``: the last m variables run through
-    the digit columns of ``_tile_columns``, decoded once per (s, m) for the
+    the digit columns of ``_tile_columns``, built once per (s, m) for the
     whole process and shared read-only by every algebra and call (a tile
     cut short by the budget reads their prefix); the others are constant
     per tile.  Products and the order are looked up in the flattened
@@ -383,9 +370,9 @@ def _sweep_algebra(
                     power = times[power * (s + 1)]
         return algebra.unit if acc is None else acc
 
-    for start in range(0, count, tile):
-        # a last tile cut by the budget is computed whole, its hits clipped
-        columns = dict(zip(variables, (*_digits(start // tile, s, k - m), *low)))
+    # a last tile cut by the budget is computed whole, its hits clipped
+    for start, high in zip(range(0, count, tile), product(range(s), repeat=k - m)):
+        columns = dict(zip(variables, (*high, *low)))
         models = np.ones(width, dtype=bool)
         for f in formulas:
             models &= leq[degree(f.antecedent, columns) * s + degree(f.consequent, columns)]
@@ -396,7 +383,7 @@ def _sweep_algebra(
                                     + degree(query.consequent, columns)]
             hits = np.nonzero(refutes[: count - start])[0]
             if hits.size:
-                return start + int(hits[0]), count
+                return (*high, *(int(column[hits[0]]) for column in low)), count
     return None, count
 
 
@@ -422,8 +409,7 @@ def _countermodel_engine(
         evals_used += swept
         scanned += 1
         if hit is not None:
-            digits = _digits(hit, algebra.size, len(variables))
-            e = Evaluation(algebra, dict(zip(variables, digits)))
+            e = Evaluation(algebra, dict(zip(variables, hit)))
             # independent scalar re-check of the witness
             if not (is_model(e, theory) and not satisfies(e, query)):
                 raise AssertionError("countermodel failed independent validation")
@@ -627,8 +613,11 @@ def deduction_witness(
     already implies B.  As A^n -> B gives A^(n+1) -> B, the first n not
     shown unprovable (refuted by a countermodel, the saturation procedure or
     an invariant, or its rewrite graph exhausted) settles the answer: n if
-    proved, else its Unknown verdict with the spent budgets.
+    proved, else its Unknown verdict with the spent budgets.  ``n_max`` is
+    checked as a ``Budgets`` count is.
     """
+    if _as_int(n_max, "n_max") < 0:
+        raise ValueError(f"n_max must not be negative, got {n_max}")
     for n in range(n_max + 1):
         verdict = decide(theory, Mfd(a.power(n), b), budgets)
         if isinstance(verdict, Proved):

@@ -69,6 +69,13 @@ class TheoryParseError(ValueError):
 # =====================================================================
 
 
+def _capped(name: str, total: int) -> int:
+    """A multiplicity of ``name``, if it is within MULTIPLICITY_CAP."""
+    if total > MULTIPLICITY_CAP:
+        raise MultiplicityOverflowError(f"multiplicity of {name!r} exceeds cap {MULTIPLICITY_CAP}")
+    return total
+
+
 class AttributeMultiset:
     """A finite multiset of attribute names.
 
@@ -92,12 +99,7 @@ class AttributeMultiset:
                     raise ValueError(f"multiplicity of {name!r} is negative: {mult}")
                 if mult == 0:
                     continue
-                total = items.get(name, 0) + mult
-                if total > MULTIPLICITY_CAP:
-                    raise MultiplicityOverflowError(
-                        f"multiplicity of {name!r} exceeds cap {MULTIPLICITY_CAP}"
-                    )
-                items[name] = total
+                items[name] = _capped(name, items.get(name, 0) + mult)
         self._counts = items
         self._key = tuple(sorted(items.items()))
         self._hash = hash(self._key)
@@ -156,27 +158,14 @@ class AttributeMultiset:
         """Multiset union: multiplicities add."""
         merged = dict(self._counts)
         for name, mult in other._counts.items():
-            total = merged.get(name, 0) + mult
-            if total > MULTIPLICITY_CAP:
-                raise MultiplicityOverflowError(
-                    f"multiplicity of {name!r} exceeds cap {MULTIPLICITY_CAP}"
-                )
-            merged[name] = total
+            merged[name] = _capped(name, merged.get(name, 0) + mult)
         return AttributeMultiset._raw(merged)
 
     def power(self, n: int) -> "AttributeMultiset":
         """The n-fold union of this multiset with itself; power 0 is TOP."""
         if n < 0:
             raise ValueError(f"power must be non-negative, got {n}")
-        counts: Dict[str, int] = {}
-        for name, mult in self._counts.items():
-            total = mult * n
-            if total > MULTIPLICITY_CAP:
-                raise MultiplicityOverflowError(
-                    f"multiplicity of {name!r} exceeds cap {MULTIPLICITY_CAP}"
-                )
-            if total:
-                counts[name] = total
+        counts = {name: _capped(name, mult * n) for name, mult in self._counts.items() if n}
         return AttributeMultiset._raw(counts)
 
     def contains_multiset(self, other: "AttributeMultiset") -> bool:

@@ -163,14 +163,19 @@ def check_proof(tree: ProofTree, theory: Theory) -> Mfd:
     when the premises of a cut do not compose, or when a stored conclusion
     disagrees with the one the rule actually yields.  Nodes are visited
     children first, left before right, so a cut only reads conclusions that
-    are already verified.
+    are already verified.  A subproof shared by several cuts is verified
+    once, so the time grows with the distinct nodes, not the unfolded tree.
     """
+    verified = set()  # ids of the nodes checked so far
     stack = [(tree, False)]
     while stack:
         node, premises_done = stack.pop()
+        if id(node) in verified:
+            continue
         if isinstance(node, Cut) and not premises_done:
             stack += [(node, True), (node.right, False), (node.left, False)]
-        elif isinstance(node, Cut):
+            continue
+        if isinstance(node, Cut):
             left, right = node.left.conclusion, node.right.conclusion
             c = divides(left.consequent, right.antecedent)
             if c is None:
@@ -189,6 +194,7 @@ def check_proof(tree: ProofTree, theory: Theory) -> Mfd:
                 raise ProofError(f"hypothesis not in theory: {format_mfd(node.formula)}")
         elif not isinstance(node, AxInstance):
             raise ProofError(f"not a proof node: {node!r}")
+        verified.add(id(node))
     return tree.conclusion
 
 

@@ -367,7 +367,12 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
         if not isinstance(algebra, UnitIntervalPomonoid):
             raise InvalidRelationError("exp_euclidean needs a unit-interval algebra")
         c = params["c"]
-        scale = 10.0 ** (-float(c))
+        try:
+            scale = 10.0 ** (-float(c))
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise InvalidRelationError(f"exp_euclidean scale 10^-c is not finite for c = {c!r}")
 
         def exp_fn(a, b):
             try:
@@ -377,11 +382,12 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
                     if len(a) != len(b):
                         raise InvalidRelationError(f"vector length mismatch: {a!r} vs {b!r}")
                     dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-            except TypeError:
+                return math.exp(-scale * dist)
+            except (TypeError, OverflowError):
                 raise InvalidRelationError(
-                    f"exp_euclidean needs two numbers or two numeric vectors: {a!r} vs {b!r}"
+                    "exp_euclidean needs two numbers or two numeric vectors within float "
+                    f"range: {a!r} vs {b!r}"
                 ) from None
-            return math.exp(-scale * dist)
 
         return exp_fn
 
@@ -426,8 +432,9 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
         def table_fn(a, b):
             try:
                 return grid[pos[a]][pos[b]]
-            except KeyError:
-                missing = a if a not in pos else b
+            except (KeyError, TypeError):
+                # an unhashable value is no label either
+                missing = a if a not in labels else b
                 raise InvalidRelationError(f"value {missing!r} not in the similarity table") from None
 
         return table_fn
@@ -447,10 +454,10 @@ def _coerce_value(value, domain: Optional[str], attr: str):
             raise InvalidRelationError(f"attribute {attr!r} expects a token, got {value!r}")
         return value
     if domain.startswith("vector"):
-        try:
-            width = int(domain[len("vector") :])
-        except ValueError:
-            raise InvalidRelationError(f"unknown domain {domain!r}") from None
+        digits = domain[len("vector") :]
+        width = int(digits) if digits.isascii() and digits.isdigit() else 0
+        if width < 1:
+            raise InvalidRelationError(f"unknown domain {domain!r}")
         if (
             not isinstance(value, (list, tuple))
             or len(value) != width
@@ -463,6 +470,21 @@ def _coerce_value(value, domain: Optional[str], attr: str):
     raise InvalidRelationError(f"unknown domain {domain!r}")
 
 
+def _json_list(value, what: str):
+    """``value`` if it is a JSON array (a list or tuple)."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidRelationError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _finite(value) -> bool:
+    """False for NaN or an infinity anywhere in a value: no similarity is
+    reflexive on it (NaN == NaN fails, and inf - inf is NaN)."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def relation_from_json(doc: Mapping) -> RankedRelation:
     """Build a ranked relation from its dict description.
 
@@ -471,9 +493,11 @@ def relation_from_json(doc: Mapping) -> RankedRelation:
     """
     try:
         algebra_spec = doc["algebra"]
-        scheme = [str(a) for a in doc["scheme"]]
+        scheme = [str(a) for a in _json_list(doc["scheme"], "scheme")]
+        if len(set(scheme)) != len(scheme):
+            raise InvalidRelationError(f"scheme {scheme!r} repeats an attribute")
         similarity_spec = doc["similarity"]
-        rows = doc["tuples"]
+        rows = _json_list(doc["tuples"], "tuples")
         if isinstance(algebra_spec, str):
             algebra = builtin_algebra(algebra_spec)
         else:
@@ -496,6 +520,9 @@ def relation_from_json(doc: Mapping) -> RankedRelation:
 
         tuples = []
         for row in rows:
+            row = _json_list(row, "a row")
+            if not _finite(row):
+                raise InvalidRelationError(f"row {row!r} holds a number that is not finite")
             if len(row) != len(scheme):
                 raise InvalidRelationError(
                     f"row {row!r} has {len(row)} values for {len(scheme)} attributes"

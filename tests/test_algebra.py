@@ -233,6 +233,14 @@ class TestFinitePomonoid:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 FinitePomonoid(("0", "1"), 1, tables["leq"], tables["times"])
 
+    @pytest.mark.parametrize("bottom", [-1, 2])
+    def test_bottom_out_of_range(self, bottom):
+        with pytest.raises(ValueError, match=f"^bottom index {bottom} out of range$"):
+            FiniteResiduatedLattice(
+                ("0", "1"), 1, ((True, True), (False, True)), ((0, 0), (0, 1)), bottom,
+                ((0, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (0, 1)),
+            )
+
     def test_set_slots_cannot_be_rebound(self):
         before = list(enumerate_pomonoids(3))
         shared = before[2]

@@ -166,6 +166,12 @@ class TestDecide:
         assert is_model(verdict.evaluation, theory)
         assert not satisfies(verdict.evaluation, parse_mfd("p -> q r"))
 
+    def test_json_rejects_what_is_no_verdict(self):
+        with pytest.raises(TypeError, match="not a verdict: 'proved'"):
+            verdict_to_json("proved")
+        with pytest.raises(ValueError, match="unknown verdict kind 'maybe'"):
+            verdict_from_json({"verdict": "maybe", "query": "p -> q"})
+
     def test_json_unknown_budget_report(self, run, data_dir):
         code, out, _ = run(
             "decide",
@@ -785,6 +791,35 @@ class TestErrors:
         code, out, err = run(*argv)
         assert code == EXIT_USAGE
         assert err.startswith("error:") and out == ""
+
+    EXP = '{"kind": "exp_euclidean", "c": 1}'
+    EQ = '{"kind": "equality", "bottom": 0}'
+
+    @pytest.mark.parametrize("similarity,tuples,message", [
+        # NaN == NaN fails, so equality reads NaN as unlike itself
+        (EQ, "[[NaN, 1], [2, 1]]", "not finite"),
+        (EXP, "[[NaN, 1], [2, 1]]", "not finite"),
+        # json reads 1e400 as inf, and inf - inf is NaN
+        (EXP, "[[1e400, 1], [2, 1]]", "not finite"),
+        ('{"kind": "exp_euclidean", "c": "nan"}', "[[1, 1], [2, 1]]", "not finite"),
+        ('{"kind": "exp_euclidean", "c": -400}', "[[1, 1], [2, 1]]", "not finite"),
+        (EXP, f"[[{10**400}, 1], [2, 1]]", "within float range"),
+        ('{"kind": "table", "labels": ["x"], "values": [[1]]}', '[[{"x": 1}, 1], ["x", 1]]',
+         "not in the similarity table"),
+    ], ids=["nan-equality", "nan-exp", "1e400-exp", "c-nan", "c-overflow", "huge-int-exp",
+            "object-in-table"])
+    def test_values_no_similarity_can_compare(self, run, tmp_path, similarity, tuples, message):
+        # exit code 1 would read as a violation, a traceback as a crash
+        doc = tmp_path / "doc.json"
+        doc.write_text(
+            '{"algebra": "product", "scheme": ["a", "b"], '
+            f'"similarity": {{"a": {similarity}, "b": {self.EXP}}}, "tuples": {tuples}}}'
+        )
+        theory = tmp_path / "ba.theory"
+        theory.write_text("b -> a\n")
+        code, out, err = run("check", str(doc), str(theory))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and message in err and out == ""
 
 
     @pytest.mark.parametrize("bad", [2.5, "-3", "0.5"])

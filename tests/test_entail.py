@@ -47,7 +47,6 @@ from mfdlogic import (
 )
 from mfdlogic import entail, formula
 from mfdlogic.cli import verdict_from_json, verdict_to_json
-from mfdlogic.entail import _digits
 from mfdlogic.formula import MultiplicityOverflowError
 from mfdlogic.member import member_trace
 
@@ -369,27 +368,6 @@ class TestFindCountermodel:
         assert hit is not None
 
 
-class TestDigits:
-    def test_matches_power_formula(self):
-        rng = random.Random(31)
-        for _ in range(300):
-            s, k = rng.randint(1, 6), rng.randint(0, 12)
-            index = rng.randrange(s**k)
-            expected = [(index // s ** (k - 1 - pos)) % s for pos in range(k)]
-            assert _digits(index, s, k) == expected
-
-    def test_array_columns_match_power_formula(self):
-        rng = random.Random(32)
-        for _ in range(50):
-            s, k = rng.randint(1, 6), rng.randint(0, 12)
-            idx = np.arange(rng.randint(1, min(s**k, 5000)), dtype=np.int64)
-            for pos, col in enumerate(_digits(idx, s, k)):
-                expected = (idx // s ** (k - 1 - pos)) % s
-                # a digit that never varies stays a plain scalar
-                assert np.array_equal(np.broadcast_to(col, idx.shape), expected)
-                assert isinstance(col, np.ndarray) == bool(expected.any())
-
-
 class TestWideTheories:
     """64 and more attributes: s ** (k - 1) no longer fits in an int64."""
 
@@ -460,7 +438,8 @@ class TestTiledSweep:
             args = (algebra, theory.distinct_formulas(), query, variables, limit)
             default = entail._sweep_algebra(*args)
             count = min(algebra.size ** len(variables), limit)
-            scan = (i for i, e in enumerate(oracles.all_evaluations(algebra, variables))
+            scan = (tuple(e.assignment[name] for name in variables)
+                    for i, e in enumerate(oracles.all_evaluations(algebra, variables))
                     if i < count and is_model(e, theory) and not satisfies(e, query))
             assert default == (next(scan, None), count)
             for tile in self.TILES:
@@ -524,7 +503,8 @@ class TestDigitColumnCache:
             # budgets that end inside a tile as well as past the end
             limit = rng.choice((1, 2, 5, 13, 50, rng.randint(1, 700), 10**6))
             count = min(s**k, limit)
-            scan = (i for i, e in enumerate(oracles.all_evaluations(algebra, variables))
+            scan = (tuple(e.assignment[name] for name in variables)
+                    for i, e in enumerate(oracles.all_evaluations(algebra, variables))
                     if i < count and is_model(e, theory) and not satisfies(e, query))
             expected = (next(scan, None), count)
             args = (algebra, theory.distinct_formulas(), query, variables, limit)
@@ -1060,6 +1040,13 @@ class TestDeductionWitness:
         off = deduction_witness(theory, M("p"), M("p q"), 3, tight)
         assert isinstance(off, Unknown) and off.query == F("p -> p q")
         assert not off.report.bfs_exhausted
+
+    def test_n_max_is_checked_as_a_count(self, no_additivity):
+        with pytest.raises(TypeError, match="n_max must be an int, not float"):
+            deduction_witness(no_additivity, M("p"), M("q r"), 1.5)
+        with pytest.raises(ValueError, match="n_max must not be negative, got -1"):
+            deduction_witness(no_additivity, M("p"), M("q r"), -1)
+        assert deduction_witness(no_additivity, M("p"), M("q r"), np.int64(2)) == 2
 
 
 # ============================================================

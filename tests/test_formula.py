@@ -426,6 +426,11 @@ class TestFormatting:
         assert format_theory(Theory(())) == ""
         assert format_theory(parse_theory("a -> b")) == "a -> b\n"
 
+    def test_str_is_the_formatted_text(self):
+        assert str(parse_mfd("q p->r r")) == "p q -> r r"
+        assert str(parse_theory("b -> a\n1 -> c c")) == "b -> a\n1 -> c c\n"
+        assert str(Theory(())) == ""
+
     @given(multisets)
     def test_multiset_round_trip(self, m):
         assert parse_multiset(format_multiset(m)) == m

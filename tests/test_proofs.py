@@ -35,6 +35,7 @@ from mfdlogic import (
     parse_proof,
     parse_theory,
 )
+from mfdlogic import proofs
 
 M = parse_multiset
 F = parse_mfd
@@ -46,6 +47,18 @@ def walk(tree):
     if isinstance(tree, Cut):
         yield from walk(tree.left)
         yield from walk(tree.right)
+
+
+def walk_distinct(tree):
+    """Yield each distinct node object of a proof tree once."""
+    seen, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            if isinstance(node, Cut):
+                stack += [node.left, node.right]
 
 
 # ============================================================
@@ -124,6 +137,24 @@ class TestCheckProof:
             check_proof(junk, parse_theory("p -> q"))
         with pytest.raises(ProofError, match="not a proof node: 'junk'"):
             format_proof(junk)
+
+    def test_shared_subproofs_are_checked_once(self, monkeypatch):
+        theory = parse_theory("a -> b")
+        tree = Hyp(F("a -> b"))
+        for _ in range(12):
+            tree = derive_weak_additivity(tree, tree)
+        cuts = sum(isinstance(node, Cut) for node in walk_distinct(tree))
+        calls = []
+        divides = proofs.divides
+
+        def counting_divides(*args):
+            calls.append(args)
+            return divides(*args)
+
+        monkeypatch.setattr(proofs, "divides", counting_divides)
+        assert check_proof(tree, theory) == Mfd(M("a").power(4096), M("b").power(4096))
+        # re-walking the shared subproofs made 2 ** 12 times as many checks
+        assert len(calls) == cuts
 
 
 # ============================================================

@@ -630,6 +630,50 @@ class TestFileFormat:
         with pytest.raises(InvalidRelationError):
             relation_from_json(doc)
 
+    @pytest.mark.parametrize("domain,value", [
+        ("vector-1", [1]), ("vector0", []), ("vector+2", [1, 2]),
+        ("vector 2", [1, 2]), ("vector\u0662", [1, 2]), ("vector", [1]),
+    ])
+    def test_vector_width_is_ascii_digits_from_1(self, domain, value):
+        doc = self.base_doc()
+        doc["domains"]["a"] = domain
+        doc["tuples"] = [[value, 5]]
+        with pytest.raises(InvalidRelationError, match="unknown domain"):
+            relation_from_json(doc)
+
+    def test_token_domain(self):
+        doc = self.base_doc()
+        doc["domains"] = {"a": "token", "b": "scalar"}
+        doc["similarity"]["a"] = {"kind": "equality", "bottom": 0}
+        doc["tuples"] = [["x", 1], ["y", 2]]
+        assert relation_from_json(doc).tuples == (("x", 1), ("y", 2))
+        doc["tuples"][1][0] = 7
+        with pytest.raises(InvalidRelationError, match="expects a token, got 7"):
+            relation_from_json(doc)
+
+    def test_tuples_must_be_a_list_of_lists(self):
+        doc = self.base_doc()
+        doc["scheme"], doc["tuples"] = ["a"], {"x": 1}
+        with pytest.raises(InvalidRelationError, match="tuples must be a list"):
+            relation_from_json(doc)
+        doc["tuples"] = [{"x": 1}]
+        with pytest.raises(InvalidRelationError, match="a row must be a list"):
+            relation_from_json(doc)
+
+    def test_scheme_names_are_distinct(self):
+        doc = self.base_doc()
+        doc["scheme"] = ["a", "a"]
+        with pytest.raises(InvalidRelationError, match="repeats an attribute"):
+            relation_from_json(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+    def test_non_finite_values_are_rejected(self, value):
+        doc = self.base_doc()
+        doc["domains"] = {}
+        doc["tuples"][1][0] = value
+        with pytest.raises(InvalidRelationError, match="not finite"):
+            relation_from_json(doc)
+
     def test_load_relation_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
