@@ -60,9 +60,9 @@ _COMPLETION_CAP = 256
 
 def _as_int(value, name: str) -> int:
     """``value`` as an int (an integer type such as ``numpy.int64`` too),
-    else TypeError."""
+    else TypeError; a bool is not a count."""
     try:
-        return operator.index(value)
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise TypeError(f"{name} must be an int, not {type(value).__name__}") from None
 
@@ -775,16 +775,25 @@ def algebra_to_json(algebra: FinitePomonoid) -> dict:
 def algebra_from_json(doc: Mapping) -> FinitePomonoid:
     """Parse and validate a finite algebra description."""
 
-    def table(key: str) -> List[List[int]]:
-        return [[pos[str(v)] for v in row] for row in doc[key]]
+    is_array = lambda value: isinstance(value, (list, tuple))
+
+    def table(key: str, cell=lambda v: pos[str(v)]) -> list:
+        rows = doc[key]
+        if not (is_array(rows) and all(is_array(row) for row in rows)):
+            raise TypeError(f"{key} must be an array of arrays")
+        return [[cell(v) for v in row] for row in rows]
 
     try:
+        if not is_array(doc["elements"]):
+            raise TypeError("elements must be an array")
         names = [str(x) for x in doc["elements"]]
         pos = {name: i for i, name in enumerate(names)}
         if len(pos) != len(names):
             raise InvalidAlgebraError("duplicate element names")
         unit = pos[doc["unit"]]
-        leq = [[bool(v) for v in row] for row in doc["leq"]]
+        leq = table("leq", lambda v: v)
+        if not all(isinstance(v, bool) for row in leq for v in row):
+            raise TypeError("leq entries must be true or false")
         times = table("times")
         if "residuum" in doc or "meet" in doc or "join" in doc or "bottom" in doc:
             algebra: FinitePomonoid = FiniteResiduatedLattice(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import List, Tuple, Union
 
 from .formula import (
     TOP,
@@ -96,7 +96,7 @@ class Cut:
 
     Equality is structural and ``repr`` is the one a dataclass would
     generate, but these and ``hash`` walk an explicit stack, so cut trees of
-    any depth work.
+    any depth work, and equality and ``hash`` cost the distinct nodes.
     """
 
     left: "ProofTree"
@@ -106,54 +106,64 @@ class Cut:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if not isinstance(a, Cut) or a.__class__ is not b.__class__:
-                if a != b:
-                    return False
-            elif a.conclusion != b.conclusion:
-                return False
-            else:
-                stack += [(a.right, b.right), (a.left, b.left)]
-        return True
+        # number the distinct subproofs of both trees by structure, a leaf by itself
+        numbers, number = {}, {}
+        for tree in (self, other):
+            for node in _premises_first(tree):
+                key = ((node.__class__, number[id(node.left)], number[id(node.right)],
+                        node.conclusion) if isinstance(node, Cut) else node)
+                number[id(node)] = numbers.setdefault(key, len(numbers))
+        return number[id(self)] == number[id(other)]
 
     def __hash__(self) -> int:
-        # children first, as in check_proof; a cut child enters by its hash
-        hashes = {}
-        stack = [(self, False)]
-        while stack:
-            node, children_done = stack.pop()
-            if id(node) in hashes:
-                continue
-            if not children_done:
-                stack.append((node, True))
-                stack += [(c, False) for c in (node.left, node.right) if isinstance(c, Cut)]
-            else:
-                parts = [hashes[id(c)] if isinstance(c, Cut) else c for c in (node.left, node.right)]
-                hashes[id(node)] = hash((*parts, node.conclusion))
-        return hashes[id(self)]
+        # a cut premise enters by its hash, a leaf by itself
+        parts = {}
+        for node in _premises_first(self):
+            parts[id(node)] = (hash((parts[id(node.left)], parts[id(node.right)], node.conclusion))
+                               if isinstance(node, Cut) else node)
+        return parts[id(self)]
 
     def __repr__(self) -> str:
-        # (text, None) is literal text, (None, node) a node still to print
-        pieces = []
-        stack = [(None, self)]
-        while stack:
-            text, node = stack.pop()
-            if node is None:
-                pieces.append(text)
-            elif isinstance(node, Cut):
-                stack += [(f", conclusion={node.conclusion!r})", None), (None, node.right),
-                          (", right=", None), (None, node.left),
-                          (f"{node.__class__.__qualname__}(left=", None)]
-            else:
-                pieces.append(repr(node))
-        return "".join(pieces)
+        return _render(self, repr, lambda cut: f"{cut.__class__.__qualname__}(left=",
+                       ", right=", lambda cut: f", conclusion={cut.conclusion!r})")
 
 
 ProofTree = Union[Hyp, AxInstance, Cut]
+
+
+def _premises_first(tree: ProofTree) -> List[ProofTree]:
+    """Each distinct node of ``tree`` once, by ``id``, every cut after both
+    of its premises (left, then right); anything but a cut is a leaf."""
+    order, seen, stack = [], set(), [(tree, False)]
+    while stack:
+        node, premises_done = stack.pop()
+        if premises_done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Cut):
+                stack += [(node, True), (node.right, False), (node.left, False)]
+            else:
+                order.append(node)
+    return order
+
+
+def _render(tree: ProofTree, leaf, head, middle: str, tail) -> str:
+    """The text of the unfolded tree: ``leaf(node)`` for a leaf, and
+    ``head(cut)``, the left premise, ``middle``, the right premise and
+    ``tail(cut)`` for a cut."""
+    # (text, None) is a literal piece, (None, node) a node still to print
+    pieces, stack = [], [(None, tree)]
+    while stack:
+        text, node = stack.pop()
+        if text is not None:
+            pieces.append(text)
+        elif isinstance(node, Cut):
+            pieces.append(head(node))
+            stack += [(tail(node), None), (None, node.right), (middle, None), (None, node.left)]
+        else:
+            pieces.append(leaf(node))
+    return "".join(pieces)
 
 
 def check_proof(tree: ProofTree, theory: Theory) -> Mfd:
@@ -166,15 +176,7 @@ def check_proof(tree: ProofTree, theory: Theory) -> Mfd:
     are already verified.  A subproof shared by several cuts is verified
     once, so the time grows with the distinct nodes, not the unfolded tree.
     """
-    verified = set()  # ids of the nodes checked so far
-    stack = [(tree, False)]
-    while stack:
-        node, premises_done = stack.pop()
-        if id(node) in verified:
-            continue
-        if isinstance(node, Cut) and not premises_done:
-            stack += [(node, True), (node.right, False), (node.left, False)]
-            continue
+    for node in _premises_first(tree):
         if isinstance(node, Cut):
             left, right = node.left.conclusion, node.right.conclusion
             c = divides(left.consequent, right.antecedent)
@@ -194,7 +196,6 @@ def check_proof(tree: ProofTree, theory: Theory) -> Mfd:
                 raise ProofError(f"hypothesis not in theory: {format_mfd(node.formula)}")
         elif not isinstance(node, AxInstance):
             raise ProofError(f"not a proof node: {node!r}")
-        verified.add(id(node))
     return tree.conclusion
 
 
@@ -313,29 +314,17 @@ def derive_weak_additivity(p1: ProofTree, p2: ProofTree) -> ProofTree:
 # as "1".
 
 
+def _leaf_text(node: ProofTree) -> str:
+    if isinstance(node, Hyp):
+        return f'(hyp "{format_mfd(node.formula)}")'
+    if isinstance(node, AxInstance):
+        return f'(ax "{format_multiset(node.left)}" "{format_multiset(node.right)}")'
+    raise ProofError(f"not a proof node: {node!r}")
+
+
 def format_proof(tree: ProofTree) -> str:
-    # stack entries are (text, None) for a literal piece, (None, node) for a node
-    pieces = []
-    stack = [(None, tree)]
-    while stack:
-        text, node = stack.pop()
-        if text is not None:
-            pieces.append(text)
-        elif isinstance(node, Hyp):
-            pieces.append(f'(hyp "{format_mfd(node.formula)}")')
-        elif isinstance(node, AxInstance):
-            pieces.append(f'(ax "{format_multiset(node.left)}" "{format_multiset(node.right)}")')
-        elif isinstance(node, Cut):
-            pieces.append("(cut ")
-            stack += [
-                (f' "{format_mfd(node.conclusion)}")', None),
-                (None, node.right),
-                (" ", None),
-                (None, node.left),
-            ]
-        else:
-            raise ProofError(f"not a proof node: {node!r}")
-    return "".join(pieces)
+    return _render(tree, _leaf_text, lambda cut: "(cut ", " ",
+                   lambda cut: f' "{format_mfd(cut.conclusion)}")')
 
 
 _TOKEN_RE = re.compile(r'\(\s*([a-z]*)|"([^"]*)"|\)|[a-z]+')

@@ -124,6 +124,11 @@ class TestUnitInterval:
         with pytest.raises(ValueError):
             UnitIntervalPomonoid("drastic")
 
+    def test_equality_with_other_types(self):
+        assert UnitIntervalPomonoid("min") == builtin_algebra("min") != builtin_algebra("product")
+        assert UnitIntervalPomonoid("min").__eq__("min") is NotImplemented
+        assert UnitIntervalPomonoid("min") != "min"
+
     @pytest.mark.parametrize("kind", UnitIntervalPomonoid.KINDS)
     def test_spot_check_clean(self, kind):
         for seed in (0, 7):
@@ -178,6 +183,13 @@ class TestFinitePomonoid:
         assert bool2.index_of("0") == 0
         assert bool2.is_linear()
         assert validate(bool2) == []
+
+    def test_repr_and_equality_with_other_types(self, bool2):
+        assert repr(bool2) == "<FinitePomonoid size=2 unit='1'>"
+        lattice, _ = downset_completion(bool2)
+        assert repr(lattice) == f"<FiniteResiduatedLattice size=3 unit={lattice.element_names[lattice.unit]!r}>"
+        assert bool2.__eq__(builtin_algebra("min")) is NotImplemented
+        assert bool2 != builtin_algebra("min") and bool2 != algebra_to_json(bool2)
 
     def test_index_of_unknown(self, bool2):
         with pytest.raises(ValueError):
@@ -584,6 +596,8 @@ class TestEnumeration:
             enumerate_pomonoids(0)
         with pytest.raises(TypeError, match="^max_size must be an int, not float$"):
             enumerate_pomonoids(2.0)
+        with pytest.raises(TypeError, match="^max_size must be an int, not bool$"):
+            enumerate_pomonoids(True)
         stream = enumerate_pomonoids(np.int64(3))
         assert isinstance(stream, types.GeneratorType)  # callers may close() it
         assert list(stream) == list(enumerate_pomonoids(3))
@@ -745,6 +759,32 @@ class TestJson:
             algebra_from_json(
                 {"elements": ["a", "a"], "unit": "a", "leq": [], "times": []}
             )
+
+    @pytest.mark.parametrize("changes", [
+        # read letter by letter, this document would be bool2
+        {"elements": "01", "times": ["00", "01"]},
+        {"times": ["00", "01"]},
+        {"leq": "11"},
+        {"times": [["0", "0"], "01"]},
+    ])
+    def test_rejects_strings_for_arrays(self, bool2, changes):
+        doc = {**algebra_to_json(bool2), **changes}
+        with pytest.raises(InvalidAlgebraError, match="must be an array"):
+            algebra_from_json(doc)
+
+    def test_rejects_non_boolean_leq(self, bool2):
+        # bool("0") is True: read as truth values, every pair would be comparable
+        doc = {**algebra_to_json(bool2), "leq": [["1", "1"], ["0", "1"]]}
+        with pytest.raises(InvalidAlgebraError, match="^malformed algebra description: leq entries must be true or false$"):
+            algebra_from_json(doc)
+        doc["leq"] = [[1, 1], [0, 1]]
+        with pytest.raises(InvalidAlgebraError, match="leq entries must be true or false"):
+            algebra_from_json(doc)
+
+    def test_accepts_tuples(self, bool2):
+        doc = algebra_to_json(bool2)
+        doc = {key: tuple(map(tuple, v)) if key in ("leq", "times") else v for key, v in doc.items()}
+        assert algebra_from_json({**doc, "elements": ("0", "1")}) == bool2
 
     def test_load_by_name_and_path(self, data_dir):
         assert isinstance(load_algebra("product"), UnitIntervalPomonoid)

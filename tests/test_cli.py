@@ -529,6 +529,14 @@ class TestCompleteAlgebra:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: ") and "downsets" in err
 
+    def test_string_arrays_exit_64(self, run, tmp_path):
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps({"elements": "01", "unit": "1",
+                                    "leq": [[True, True], [False, True]], "times": ["00", "01"]}))
+        code, out, err = run("complete-algebra", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: malformed algebra description: elements must be an array\n"
+
     def test_rejects_unit_interval(self, run):
         code, out, err = run("complete-algebra", "product")
         assert code == EXIT_USAGE
@@ -768,6 +776,10 @@ class TestErrors:
             {"similarity": {"a": {"kind": "equality", "bottom": "zz"}}},
             {"similarity": {"a": {"kind": "equality", "bottom": 2.5}}},
             {"similarity": ["x"]},
+            # an inline algebra whose arrays are strings, bool2 if read letter by letter
+            {"algebra": {"elements": "01", "unit": "1", "leq": [[True, True], [False, True]],
+                         "times": ["00", "01"]},
+             "similarity": {"a": {"kind": "equality", "bottom": "0"}}},
             {"algebra": "bool2", "similarity": {"a": {
                 "kind": "table", "labels": [1, 2], "values": [["1", "zz"], ["0", "1"]]}}},
             None,

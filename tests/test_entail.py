@@ -352,6 +352,11 @@ class TestFindCountermodel:
     def test_trivial_query_has_no_countermodel(self):
         assert find_countermodel(Theory(()), F("a a -> a"), max_size=3) is None
 
+    def test_countermodel_is_rechecked(self, no_additivity, monkeypatch):
+        monkeypatch.setattr(entail, "is_model", lambda evaluation, theory: False)
+        with pytest.raises(AssertionError, match="countermodel failed independent validation"):
+            find_countermodel(no_additivity, F("p -> q r"), max_size=3)
+
     def test_budget_too_small(self, no_additivity):
         assert find_countermodel(no_additivity, F("p -> q r"), budget=2) is None
 
@@ -865,6 +870,10 @@ class TestBudgetsContract:
         ("model_evals", 2.5, TypeError, "model_evals must be an int, not float"),
         ("model_evals", 5.0, TypeError, "model_evals must be an int, not float"),
         ("max_algebra_size", 2.0, TypeError, "max_algebra_size must be an int, not float"),
+        # a bool is not a count, although operator.index(True) is 1
+        ("bfs_nodes", True, TypeError, "bfs_nodes must be an int, not bool"),
+        ("model_evals", False, TypeError, "model_evals must be an int, not bool"),
+        ("max_algebra_size", True, TypeError, "max_algebra_size must be an int, not bool"),
         ("bfs_nodes", -1, ValueError, "bfs_nodes must not be negative, got -1"),
         ("model_evals", -3, ValueError, "model_evals must not be negative, got -3"),
         ("max_algebra_size", 0, ValueError, "max_algebra_size must be in 1..6, got 0"),
@@ -1044,6 +1053,8 @@ class TestDeductionWitness:
     def test_n_max_is_checked_as_a_count(self, no_additivity):
         with pytest.raises(TypeError, match="n_max must be an int, not float"):
             deduction_witness(no_additivity, M("p"), M("q r"), 1.5)
+        with pytest.raises(TypeError, match="n_max must be an int, not bool"):
+            deduction_witness(no_additivity, M("p"), M("q r"), True)
         with pytest.raises(ValueError, match="n_max must not be negative, got -1"):
             deduction_witness(no_additivity, M("p"), M("q r"), -1)
         assert deduction_witness(no_additivity, M("p"), M("q r"), np.int64(2)) == 2

@@ -156,6 +156,30 @@ class TestCheckProof:
         # re-walking the shared subproofs made 2 ** 12 times as many checks
         assert len(calls) == cuts
 
+    def test_shared_subproofs_are_compared_and_hashed_once(self):
+        comparisons = []
+
+        class CountingHyp(Hyp):
+            def __eq__(self, other):
+                comparisons.append(other)
+                return super().__eq__(other)
+
+            __hash__ = Hyp.__hash__
+
+        def build(tree):
+            for _ in range(12):
+                tree = derive_weak_additivity(tree, tree)
+            return tree
+
+        t1, t2 = build(CountingHyp(F("a -> b"))), build(CountingHyp(F("a -> b")))
+        assert t1 == t2 and t1 is not t2
+        # one comparison per distinct leaf, not one per leaf of the unfolded trees
+        assert len(comparisons) <= 2
+        assert hash(t1) == hash(t2)
+        # same conclusion at every cut; only the shared leaf differs
+        hyp, ax = build(Hyp(F("a b -> a"))), build(AxInstance(M("b"), M("a")))
+        assert hyp.conclusion == ax.conclusion and hyp != ax and ax != hyp
+
 
 # ============================================================
 # Derived rules
