@@ -158,7 +158,7 @@ class FinitePomonoid:
         return self.element_names, self.unit, self.leq_table, self.times_table
 
     def __reduce__(self):
-        return FinitePomonoid, self._fields()
+        return type(self), self._fields()
 
     @property
     def size(self) -> int:
@@ -261,11 +261,9 @@ class FiniteResiduatedLattice(FinitePomonoid):
         self.join_table = _square("join", join_table, n)
         self.residuum_table = _square("residuum", residuum_table, n)
 
-    def __reduce__(self):
-        return FiniteResiduatedLattice, (
-            self.element_names, self.unit, self.leq_table, self.times_table,
-            self.bottom, self.meet_table, self.join_table, self.residuum_table,
-        )
+    def _fields(self) -> tuple:
+        return (*super()._fields(), self.bottom, self.meet_table, self.join_table,
+                self.residuum_table)
 
     def meet(self, a: int, b: int) -> int:
         return self.meet_table[a][b]
@@ -790,14 +788,14 @@ def algebra_from_json(doc: Mapping) -> FinitePomonoid:
         pos = {name: i for i, name in enumerate(names)}
         if len(pos) != len(names):
             raise InvalidAlgebraError("duplicate element names")
-        unit = pos[doc["unit"]]
+        unit = pos[str(doc["unit"])]
         leq = table("leq", lambda v: v)
         if not all(isinstance(v, bool) for row in leq for v in row):
             raise TypeError("leq entries must be true or false")
         times = table("times")
         if "residuum" in doc or "meet" in doc or "join" in doc or "bottom" in doc:
             algebra: FinitePomonoid = FiniteResiduatedLattice(
-                names, unit, leq, times, pos[doc["bottom"]],
+                names, unit, leq, times, pos[str(doc["bottom"])],
                 table("meet"), table("join"), table("residuum"),
             )
         else:

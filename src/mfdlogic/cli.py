@@ -225,9 +225,9 @@ def _read_theory(path: str) -> Theory:
 
 
 def _print_json(doc) -> None:
-    """Print ``doc`` as ``json.dumps(doc, indent=2)`` would, but streamed
-    to stdout piece by piece: the text of a long certificate is never held
-    whole in memory."""
+    """Print ``doc`` as ``json.dumps(doc, indent=2)`` would, streamed to
+    stdout: the document is never one string, but a certificate in it is,
+    and ``json.dump`` copies that string, escaped, as it writes it."""
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
 

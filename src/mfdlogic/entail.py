@@ -286,6 +286,13 @@ def certificate_from_path(query: Mfd, path: RewritePath) -> ProofTree:
     return derive_pro(tree, query.consequent)
 
 
+def _proved(theory: Theory, query: Mfd, path: RewritePath) -> Proved:
+    """The verdict for a path that proves the query, its certificate checked."""
+    cert = certificate_from_path(query, path)
+    check_proof(cert, theory)
+    return Proved(query, path, cert)
+
+
 def bfs_prove(theory: Theory, query: Mfd, budget: int = Budgets.bfs_nodes) -> Verdict:
     """Search for a proof; Proved with certificate, else Unknown.
 
@@ -294,7 +301,11 @@ def bfs_prove(theory: Theory, query: Mfd, budget: int = Budgets.bfs_nodes) -> Ve
     claims refutation.  The budget is checked as ``Budgets.bfs_nodes``.
     """
     budget = Budgets(bfs_nodes=budget).bfs_nodes
-    return _search(theory, query, _bfs_engine(theory, query, budget), None, 0)
+    for kind, found in _bfs_engine(theory, query, budget):
+        pass  # one event per layer: keep only the last
+    if kind == "proved":
+        return _proved(theory, query, found)
+    return Unknown(query, BudgetReport(found, kind == "exhausted"))
 
 
 # =====================================================================
@@ -436,12 +447,10 @@ def find_countermodel(
     as ``Budgets.max_algebra_size`` and ``Budgets.model_evals``.
     """
     budgets = Budgets(model_evals=budget, max_algebra_size=max_size)
-    refuter = _countermodel_engine(theory, query, budgets.max_algebra_size,
-                                   budgets.model_evals)
-    verdict = _search(theory, query, None, refuter, 0)
-    if isinstance(verdict, Refuted):
-        return verdict.algebra, verdict.evaluation
-    return None
+    for event in _countermodel_engine(theory, query, budgets.max_algebra_size,
+                                      budgets.model_evals):
+        pass
+    return event[1:3] if event[0] == "refuted" else None
 
 
 # =====================================================================
@@ -511,40 +520,6 @@ def _refuting_invariant(
 # =====================================================================
 
 
-def _search(theory: Theory, query: Mfd, prover, refuter, basis_cap: int) -> Verdict:
-    """Drive a ``_bfs_engine`` and a ``_countermodel_engine`` (either may be
-    None), one BFS layer against one algebra sweep, first hit wins.  Once
-    the sweep has covered every algebra, a coverability basis found within
-    ``basis_cap`` additions (0: none is sought) that leaves out the
-    antecedent refutes the query.  When both run out, the Unknown carries what both
-    spent: each engine's last event holds its running totals, so the report
-    is built once, at the end."""
-    nodes = evals = scanned = 0
-    graph_done = models_done = False
-    while prover or refuter:
-        if prover:
-            event = next(prover)
-            if event[0] == "proved":
-                cert = certificate_from_path(query, event[1])
-                check_proof(cert, theory)
-                return Proved(query, event[1], cert)
-            nodes, graph_done = event[1], event[0] == "exhausted"
-            if event[0] != "layer":
-                prover = None
-        if refuter:
-            event = next(refuter)
-            if event[0] == "refuted":
-                return Refuted(query, "countermodel", event[1], event[2])
-            evals, scanned, models_done = event[1], event[2], event[0] == "exhausted"
-            if event[0] != "algebra":
-                refuter = None
-            if models_done and basis_cap:
-                invariant = _refuting_invariant(theory, query, basis_cap)
-                if invariant is not None:
-                    return Refuted(query, "invariant", invariant=invariant)
-    return Unknown(query, BudgetReport(nodes, graph_done, evals, scanned, models_done))
-
-
 def _saturation_path(theory: Theory, query: Mfd) -> RewritePath:
     """A rewrite path for a query ``member`` accepts, made of its own firings.
 
@@ -574,29 +549,49 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     Non-contracting theories get the definitive fast path: the member
     procedure answers yes/no outright, and a yes is certified from the
     firings of its saturation run, with no budget and not necessarily the
-    shortest path.  Otherwise the prover and the refuter run interleaved,
-    one BFS layer against one algebra sweep, first hit wins.  When the sweep
-    has covered every algebra up to ``budgets.max_algebra_size`` without a
-    countermodel, the coverability basis of the consequent is computed, with
-    at most ``_BASIS_CAP`` (64) vectors added; if it leaves out the
-    antecedent, the query is refuted by that basis (method ``"invariant"``).
-    If it shows the query provable or outgrows its cap, the BFS runs on as
-    before, so every other verdict is what it would be without the basis;
-    an Unknown's report counts only what the BFS and the sweep spent.
-    A sweep cut short by ``model_evals`` computes no basis.
+    shortest path.  Otherwise the loop below interleaves the prover and the
+    refuter, one BFS layer against one algebra sweep, first hit wins.  When
+    the sweep has covered every algebra up to ``budgets.max_algebra_size``
+    without a countermodel, the coverability basis of the consequent is
+    computed, with at most ``_BASIS_CAP`` (64) vectors added; if it leaves
+    out the antecedent, the query is refuted by that basis (method
+    ``"invariant"``).  If it shows the query provable or outgrows its cap,
+    the BFS runs on as before, so every other verdict is what it would be
+    without the basis; an Unknown's report counts only what the BFS and the
+    sweep spent, read from each engine's last event.  A sweep cut short by
+    ``model_evals`` computes no basis.
     """
     if is_non_contracting_theory(theory):
         if not member(theory, query):
             return Refuted(query, "member-algorithm")
-        path = _saturation_path(theory, query)
-        cert = certificate_from_path(query, path)
-        check_proof(cert, theory)
-        return Proved(query, path, cert)
+        return _proved(theory, query, _saturation_path(theory, query))
     prover = _bfs_engine(theory, query, budgets.bfs_nodes)
     refuter = _countermodel_engine(
         theory, query, budgets.max_algebra_size, budgets.model_evals
     )
-    return _search(theory, query, prover, refuter, _BASIS_CAP)
+    nodes = evals = scanned = 0
+    graph_done = models_done = False
+    while prover or refuter:
+        if prover:
+            event = next(prover)
+            if event[0] == "proved":
+                return _proved(theory, query, event[1])
+            nodes, graph_done = event[1], event[0] == "exhausted"
+            if event[0] != "layer":
+                prover = None
+        if refuter:
+            event = next(refuter)
+            if event[0] == "refuted":
+                return Refuted(query, "countermodel", event[1], event[2])
+            evals, scanned, models_done = event[1], event[2], event[0] == "exhausted"
+            if event[0] != "algebra":
+                refuter = None
+            # a cap of 0 leaves the basis out (_coverability_basis reads it as no cap)
+            if models_done and _BASIS_CAP:
+                invariant = _refuting_invariant(theory, query, _BASIS_CAP)
+                if invariant is not None:
+                    return Refuted(query, "invariant", invariant=invariant)
+    return Unknown(query, BudgetReport(nodes, graph_done, evals, scanned, models_done))
 
 
 def deduction_witness(

@@ -292,6 +292,18 @@ class TestFinitePomonoid:
                 assert algebra_to_json(twin) == algebra_to_json(value)
                 assert twin.np_tables()[0].tolist() == [list(r) for r in value.times_table]
 
+    def test_lattice_is_not_its_reduct(self, bool2):
+        lattice, _ = downset_completion(bool2)
+        head = (lattice.element_names, lattice.unit, lattice.leq_table, lattice.times_table)
+        reduct = FinitePomonoid(*head)
+        assert lattice != reduct and reduct != lattice
+        residuum = [list(row) for row in lattice.residuum_table]
+        residuum[0][0] = (residuum[0][0] + 1) % lattice.size
+        other = FiniteResiduatedLattice(
+            *head, lattice.bottom, lattice.meet_table, lattice.join_table, residuum)
+        assert other != lattice
+        assert len({lattice, reduct, other}) == 3
+
     def test_describe_mentions_everything(self, nonlinear_algebra):
         text = nonlinear_algebra.describe()
         for name in nonlinear_algebra.element_names:
@@ -780,6 +792,24 @@ class TestJson:
         doc["leq"] = [[1, 1], [0, 1]]
         with pytest.raises(InvalidAlgebraError, match="leq entries must be true or false"):
             algebra_from_json(doc)
+
+    def test_numeric_names(self, bool2):
+        # element names and table cells are read through str(), and so are
+        # the unit and the bottom
+        doc = {"elements": [0, 1], "unit": 1, "leq": [[True, True], [False, True]],
+               "times": [[0, 0], [0, 1]]}
+        assert algebra_from_json(doc) == bool2
+
+    def test_numeric_names_of_a_lattice(self, bool2):
+        lattice, _ = downset_completion(bool2)
+        doc = algebra_to_json(lattice)
+        number = {name: i for i, name in enumerate(lattice.element_names)}
+        renamed = lambda v: [renamed(x) for x in v] if isinstance(v, list) else number[v]
+        back = algebra_from_json({key: v if key == "leq" else renamed(v) for key, v in doc.items()})
+        assert isinstance(back, FiniteResiduatedLattice)
+        assert back.element_names == tuple(map(str, range(lattice.size)))
+        assert (back.unit, back.bottom) == (lattice.unit, lattice.bottom)
+        assert back.residuum_table == lattice.residuum_table
 
     def test_accepts_tuples(self, bool2):
         doc = algebra_to_json(bool2)

@@ -176,19 +176,25 @@ class TestBfsProve:
         assert run(np.int64(1)).report.bfs_nodes_used == 1
 
     def test_memory_of_a_long_search(self):
-        # a decide-mix theory whose graph grows on every layer without
-        # ever covering the goal: 20k states of five counts each
-        theory = parse_theory("e -> a a c c d d\nb b e e -> b e\nd d -> d d e e\n"
-                              "b c e -> d d\nb b c -> c c d d\n")
-        tracemalloc.start()
-        try:
-            verdict = bfs_prove(theory, F("b b c c d -> b b c c e"), 20_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # count tuples as states peaked near 2.6 MB, packed ints near 1.4 MB
-        assert verdict.report == BudgetReport(bfs_nodes_used=20_000)
-        assert peak < 2_000_000, peak
+        cases = [
+            # a decide-mix theory whose graph grows on every layer without
+            # ever covering the goal: 20k states of five counts each; count
+            # tuples as states peaked near 2.6 MB, packed ints near 1.4 MB
+            ("e -> a a c c d d\nb b e e -> b e\nd d -> d d e e\n"
+             "b c e -> d d\nb b c -> c c d d\n", "b b c c d -> b b c c e", 20_000, 2_000_000),
+            # one state per layer, so one engine event per state: near
+            # 5.3 MB, and 9.5 MB if bfs_prove kept the events
+            ("a -> a a", "a -> b", 50_000, 7_000_000),
+        ]
+        for theory, query, budget, bound in cases:
+            tracemalloc.start()
+            try:
+                verdict = bfs_prove(parse_theory(theory), F(query), budget)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert verdict.report == BudgetReport(bfs_nodes_used=budget)
+            assert peak < bound, (query, peak)
 
 
 def _engine_events(theory, query, budget):
@@ -1158,6 +1164,23 @@ class TestPinnedOutput:
 
     DIGEST = "3353edae4d15bc2444fb21cf74a1fc592ac81115bba334aced4309cdaf636f39"
     DIGEST_WITH_BASIS = "6182e4e818dbb7bb61d4914b1183e3063d50bdea041fa7d679e8b4e48f2b6d17"
+    DIGEST_SINGLE_ENGINES = "293672892f6b0fbb90f8d270fedc3c8b7b57836486119eb394c915b106bd0138"
+
+    def test_digest_of_single_engines(self):
+        # bfs_prove and find_countermodel on their own, with the corpus's
+        # budgets: each reads one engine, so neither depends on decide's loop
+        h = hashlib.sha256()
+        kinds = Counter()
+        for theory, query, budgets in _pinned_cases():
+            proof = bfs_prove(theory, query, budgets.bfs_nodes)
+            hit = find_countermodel(theory, query, budgets.max_algebra_size,
+                                    budgets.model_evals)
+            refuted = None if hit is None else Refuted(query, "countermodel", *hit)
+            kinds[type(proof).__name__, hit is None] += 1
+            h.update(json.dumps(verdict_to_json(proof), sort_keys=True).encode())
+            h.update(json.dumps(refuted and verdict_to_json(refuted), sort_keys=True).encode())
+        assert len(kinds) == 3 and min(kinds.values()) >= 15, kinds
+        assert h.hexdigest() == self.DIGEST_SINGLE_ENGINES, h.hexdigest()
 
     def test_digest(self, monkeypatch):
         digest, kinds, _ = _pinned_run(monkeypatch, 0)
