@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -158,12 +159,14 @@ def tuple_similarity(rel: RankedRelation, i: int, j: int, m: AttributeMultiset):
 _TILE_PAIRS = 4096
 
 
-def _code_column(rel: RankedRelation, pos: int) -> Tuple[np.ndarray, List]:
+def _code_column(rel: RankedRelation, pos: int) -> Tuple[np.ndarray, List, Optional[np.ndarray]]:
     """Number the values at ``pos`` by first appearance.
 
-    Returns (codes, values): row r holds a value equal to ``values[codes[r]]``.
-    Values of different types never share a code, so 1 and 1.0 keep their
-    own similarity calls; an unhashable value gets a code of its own.
+    Returns (codes, values, floats): row r holds a value equal to
+    ``values[codes[r]]``. Values of different types never share a code, so
+    1 and 1.0 keep their own similarity calls; an unhashable value gets a
+    code of its own. ``floats`` is :func:`_float_column` of the values when
+    the attribute's similarity has a ``block`` kernel, else None.
     """
     index: Dict = {}
     values: List = []
@@ -177,7 +180,27 @@ def _code_column(rel: RankedRelation, pos: int) -> Tuple[np.ndarray, List]:
         if code == len(values):
             values.append(value)
         codes.append(code)
-    return np.array(codes, dtype=np.intp), values
+    fn = rel.similarity.functions[rel.scheme[pos]]
+    floats = _float_column(values) if hasattr(fn, "block") else None
+    return np.array(codes, dtype=np.intp), values, floats
+
+
+def _float_column(values: Sequence) -> Optional[np.ndarray]:
+    """The values as float64 for a ``block`` kernel, each number through
+    ``float()``: shape (n,) when every value is an int or a float, (n, k)
+    when every value is a tuple or list of k of them.  None for anything
+    else: a bool, a string, an int beyond float range, a column that mixes
+    scalars and vectors, vectors of different lengths."""
+    number = (int, float)
+    try:
+        if all(type(v) in number for v in values):
+            return np.fromiter(map(float, values), np.float64, len(values))
+        if all(type(v) in (tuple, list) and len(v) == len(values[0])
+               and all(type(x) in number for x in v) for v in values):
+            return np.array([[float(x) for x in v] for v in values], dtype=np.float64)
+    except OverflowError:
+        pass
+    return None
 
 
 def _batched(algebra: Algebra):
@@ -212,22 +235,25 @@ def _fold(times, unit: np.ndarray, degrees: Mapping[str, np.ndarray],
 
 
 def _tile_failure(
-    rel: RankedRelation, f: Mfd, coded: Mapping[str, Tuple[np.ndarray, List]], rows: range
+    rel: RankedRelation, f: Mfd,
+    coded: Mapping[str, Tuple[np.ndarray, List, Optional[np.ndarray]]], rows: range,
 ) -> Optional[Tuple[int, int]]:
     """First failing pair with its row in ``rows``, row-major, or None.
 
     Each attribute's similarity is called once per distinct pair of (tile
-    value, column value); the tile's degrees are gathered from those by the
-    codes.
+    value, column value), unless its ``block`` kernel computes all of them
+    at once; the tile's degrees are gathered from those by the codes.
     """
     algebra = rel.similarity.algebra
     dtype, times, leq = _batched(algebra)
     degrees = {}
-    for attr, (codes, values) in coded.items():
+    for attr, (codes, values, floats) in coded.items():
         fn = rel.similarity.functions[attr]
         local: Dict[int, int] = {}
         tile = [local.setdefault(c, len(local)) for c in codes[rows.start : rows.stop].tolist()]
-        block = np.array([[fn(values[c], b) for b in values] for c in local])
+        block = None if floats is None else fn.block(floats[list(local)], floats)
+        if block is None:
+            block = np.array([[fn(values[c], b) for b in values] for c in local])
         if not np.can_cast(block.dtype, dtype, "safe"):
             raise TypeError(f"{attr!r} has degrees of type {block.dtype} over {algebra!r}")
         degrees[attr] = block.astype(dtype, copy=False)[np.array(tile)[:, None], codes]
@@ -357,7 +383,16 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
 
     * ``exp_euclidean`` with constant c: exp(-10^-c * distance), where the
       distance is |a-b| on scalars and Euclidean on equal-length vectors;
-      degrees land in (0, 1] and suit the unit-interval algebras.
+      degrees land in (0, 1] and suit the unit-interval algebras.  The
+      distance is float64 arithmetic on ``float()`` of each number: the
+      squares ``d * d`` are summed left to right, then ``math.sqrt``, so a
+      degree is the same on every Python version; a finite difference
+      whose square overflows is out of range.  The function carries a
+      ``block(lefts, rights)`` kernel, which the relation check calls on
+      two :func:`_float_column` arrays: the degrees of every pair of rows,
+      bit for bit, or None where a distance is not finite.  Columns with
+      no such array (bools, strings, scalars mixed with vectors, vectors
+      of different lengths) are computed pair by pair.
     * ``equality``: the unit on equal values, the designated ``bottom``
       element otherwise.
     * ``table``: an explicit matrix over listed ``labels``; the diagonal
@@ -377,11 +412,22 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
         def exp_fn(a, b):
             try:
                 if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-                    dist = abs(a - b)
+                    dist = abs(float(a) - float(b))
                 else:
                     if len(a) != len(b):
                         raise InvalidRelationError(f"vector length mismatch: {a!r} vs {b!r}")
-                    dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+                    total = 0.0
+                    for x, y in zip(a, b):
+                        if not (isinstance(x, Real) and isinstance(y, Real)):
+                            raise TypeError
+                        d = float(x) - float(y)
+                        square = d * d
+                        # out of float range; an infinite difference is not
+                        # an overflow here, its distance is inf
+                        if math.isinf(square) and math.isfinite(d):
+                            raise OverflowError
+                        total += square
+                    dist = math.sqrt(total)
                 return math.exp(-scale * dist)
             except (TypeError, OverflowError):
                 raise InvalidRelationError(
@@ -389,6 +435,27 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
                     f"range: {a!r} vs {b!r}"
                 ) from None
 
+        def block(lefts, rights):
+            # exp_fn on every pair of rows of two _float_column arrays, by the
+            # same IEEE operations; None where a distance is not finite, as
+            # exp_fn raises or gives a degree from an overflow there
+            with np.errstate(over="ignore", invalid="ignore"):
+                if lefts.ndim == 1:
+                    dist = np.abs(lefts[:, None] - rights)
+                else:
+                    total = np.zeros((len(lefts), len(rights)))
+                    for k in range(lefts.shape[1]):
+                        d = lefts[:, None, k] - rights[:, k]
+                        total += d * d
+                    dist = np.sqrt(total)
+                if not np.isfinite(dist).all():
+                    return None
+                exponents = -scale * dist
+            # np.exp differs from math.exp in the last bit on some exponents
+            exps = map(math.exp, exponents.ravel().tolist())
+            return np.fromiter(exps, np.float64, exponents.size).reshape(dist.shape)
+
+        exp_fn.block = block
         return exp_fn
 
     if kind == "equality":

@@ -684,6 +684,8 @@ class TestErrors:
              [["u"], ["w"]]),
             ({"kind": "exp_euclidean", "c": 1}, [[[1, 2]], [[1, 2, 3]]]),
             ({"kind": "exp_euclidean", "c": 1}, [[1], [[1, 2]]]),
+            # the squared distance overflows
+            ({"kind": "exp_euclidean", "c": 1}, [[[1e200, 0]], [[-1e200, 0]]]),
         ],
     )
     def test_values_the_similarity_cannot_compare(self, run, tmp_path, similarity, tuples):

@@ -4,9 +4,11 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mfdlogic import (
@@ -181,7 +183,7 @@ class TestSatisfiesRelation:
 
 class TestAgainstPairScan:
     """satisfies_relation against a brute-force tuple_similarity scan, with
-    multiplicities up to 3."""
+    multiplicities up to 3: the same violation, or the same error."""
 
     @staticmethod
     def first_violation(rel, f):
@@ -202,7 +204,13 @@ class TestAgainstPairScan:
                 for _ in range(2)
             ]
             f = Mfd(parse_multiset(sides[0]), parse_multiset(sides[1]))
-            expected = self.first_violation(rel, f)
+            try:
+                expected = self.first_violation(rel, f)
+            except InvalidRelationError as exc:
+                with pytest.raises(InvalidRelationError) as info:
+                    satisfies_relation(rel, f)
+                assert str(info.value) == str(exc)
+                continue
             if expected is None:
                 assert satisfies_relation(rel, f) == (True, None)
             else:
@@ -259,6 +267,78 @@ class TestAgainstPairScan:
                                  SimilaritySpace(algebra, {a: fn for a in ("a", "b", "v")}))
             outcomes |= self.check(rng, rel)
         assert outcomes == {True, False}
+
+    # an exp_euclidean column of n values, and whether the block kernel takes it
+    BLOCK_COLUMNS = {
+        "floats": (lambda r, n: [r.uniform(-5, 5) for _ in range(n)], True),
+        "ints up to 2^53": (lambda r, n: [r.choice([1, -1]) * (2**53 - r.randint(0, 40))
+                                          for _ in range(n)], True),
+        "ints beyond 2^53": (lambda r, n: [2**60 + 256 * r.randint(0, 40) + r.randint(0, 255)
+                                           for _ in range(n)], True),
+        "ints and floats": (lambda r, n: [r.choice([2, 2.0, r.randint(-9, 9), r.uniform(-9, 9)])
+                                          for _ in range(n)], True),
+        "vector1": (lambda r, n: [(r.uniform(-5, 5),) for _ in range(n)], True),
+        "vector2": (lambda r, n: [[r.randint(-5, 5), r.uniform(-5, 5)] for _ in range(n)], True),
+        "vector3": (lambda r, n: [tuple(r.uniform(-2, 2) for _ in range(3)) for _ in range(n)],
+                    True),
+        "vector12": (lambda r, n: [tuple(r.choice([r.randint(-1, 1), r.uniform(-1, 1)])
+                                         for _ in range(12)) for _ in range(n)], True),
+        "bools": (lambda r, n: [r.choice([True, False]) for _ in range(n)], False),
+        "strings": (lambda r, n: [r.choice(["x", "yz", "1"]) for _ in range(n)], False),
+        "ints beyond float range": (lambda r, n: [10**400 + r.randint(0, 3) for _ in range(n)],
+                                    False),
+        "ragged vectors": (lambda r, n: [(1.0,), (1.0, 2.0)] + [
+            tuple(r.uniform(0, 1) for _ in range(r.randint(1, 3))) for _ in range(n - 2)], False),
+        "scalars and vectors": (lambda r, n: [0.5, (0.5, 1.0)] + [
+            r.choice([r.uniform(0, 1), (r.uniform(0, 1), 1.0)]) for _ in range(n - 2)], False),
+        "1e200 components": (lambda r, n: [(1e200, 0), (-1e200, 0)] + [
+            (r.choice([1e200, -1e200, 0.0]), r.uniform(0, 1)) for _ in range(n - 2)], False),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_COLUMNS))
+    def test_block_kernel_against_exp_fn(self, kind):
+        # the kernel gives exp_fn's matrix bit for bit, or None for the
+        # pair path; np.exp in place of math.exp fails on the float kinds
+        make, kernel = self.BLOCK_COLUMNS[kind]
+        rng = random.Random(f"block:{kind}")
+        algebra = builtin_algebra("product")
+        used = set()
+        for _ in range(12):
+            fn = builtin_similarity("exp_euclidean", algebra, {"c": rng.choice([0, 1, 3])})
+            column = make(rng, rng.randint(2, 12))
+            rng.shuffle(column)
+            rows = [(value, rng.uniform(0, 3)) for value in column]
+            rel = RankedRelation(("a", "b"), rows, SimilaritySpace(algebra, {"a": fn, "b": fn}))
+            _, values, floats = relational._code_column(rel, 0)
+            try:
+                expected = np.array([[fn(x, y) for y in values] for x in values])
+            except InvalidRelationError:
+                expected = None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = None if floats is None else fn.block(floats, floats)
+                tile = [rng.randrange(len(values)) for _ in range(3)]
+                part = None if floats is None else fn.block(floats[tile], floats)
+            if got is not None:
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+                assert np.array_equal(part, expected[tile])
+            used.add(got is not None)
+            self.check(rng, rel)
+        assert used == {kernel}
+
+    def test_overflowing_squares_take_the_pair_path(self):
+        # 2e200 squared is beyond float range: the kernel declines the tile,
+        # without a numpy warning, and the pair scan raises exp_fn's error
+        algebra = builtin_algebra("product")
+        fn = builtin_similarity("exp_euclidean", algebra, {"c": 0})
+        rel = RankedRelation(("v",), [((1e200, 0),), ((-1e200, 0),)],
+                             SimilaritySpace(algebra, {"v": fn}))
+        floats = relational._code_column(rel, 0)[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn.block(floats, floats) is None
+            with pytest.raises(InvalidRelationError, match="within float range"):
+                satisfies_relation(rel, F("v -> v v"))
 
     def test_lambda_similarity(self):
         rng = random.Random("pairs:lambda")
@@ -430,6 +510,17 @@ class TestBuiltinSimilarity:
         assert fn(10.0, 10.0) == 1.0
         assert fn(10.0, 13.0) == pytest.approx(math.exp(-0.03))
         assert fn((0.0, 0.0), (3.0, 4.0)) == pytest.approx(math.exp(-0.05))
+
+    @pytest.mark.parametrize("a,b,c,degree", [
+        # squares summed left to right; the compensated sum() of Python
+        # 3.12+ gives 0x1.f594df2881233p-4
+        ((1.7, 0.6, 0.0), (0.1, 1.4, 1.1), 0, "0x1.f594df2881236p-4"),
+        # squares as d * d; d ** 2 gives 0x1.60af86be85b86p-1
+        ((3.6937877632262683, 0.5), (0, 0), 1, "0x1.60af86be85b87p-1"),
+    ])
+    def test_exp_euclidean_degree_is_exact(self, a, b, c, degree):
+        fn = builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": c})
+        assert fn(a, b) == float.fromhex(degree)
 
     def test_exp_euclidean_vector_mismatch(self):
         fn = builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": 2})
