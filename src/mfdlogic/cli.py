@@ -29,6 +29,7 @@ from . import algebra as alg
 from . import entail, proofs, relational
 from .member import ContractingTheoryError, member_trace
 from .formula import (
+    MultiplicityOverflowError,
     TheoryParseError,
     Theory,
     _IDENT_RE,
@@ -440,6 +441,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _UsageError,
         alg.InvalidAlgebraError,
         relational.InvalidRelationError,
+        MultiplicityOverflowError,
         OSError,
         UnicodeDecodeError,
     ) as exc:

@@ -14,11 +14,12 @@ coverability basis of the query consequent; if the antecedent lies outside
 its upward closure, that basis is an inductive invariant showing the query
 unprovable, and the BFS stops.
 
-The BFS, the saturation and the path extraction rewrite the count tuples
-of one compiled theory (``formula._CountVectors``), the BFS packed into one
-int per state, and one replay turns the fired rules into a
-:class:`RewritePath`.  Both searches are budgeted; when
-neither side settles the verdict is Unknown and carries the spent budgets.
+Each query is compiled once (``_compile``, a ``formula._CountVectors``):
+the BFS, the saturation path and the basis rewrite its count tuples, the
+BFS packed into one int per state, the sweep reads its attribute order, and
+one replay turns the fired rules into a :class:`RewritePath`.  Both
+searches are budgeted; when neither side settles the verdict is Unknown
+and carries the spent budgets.
 Proofs found are always re-checked, countermodels re-evaluated through
 the plain scalar semantics, and invariants re-checked with multiset
 arithmetic (``proofs.check_invariant``) before being reported.
@@ -181,9 +182,10 @@ def rewrite_successors(
     return out
 
 
-def _universe(theory: Theory, query: Mfd) -> List[str]:
-    """The attributes that rewriting and evaluation range over, sorted."""
-    return sorted(theory.variables | query.variables)
+def _compile(theory: Theory, query: Mfd) -> _CountVectors:
+    """The theory compiled over the attributes of theory and query, the one
+    index every engine of a query rewrites, sweeps and replays on."""
+    return _CountVectors(theory.variables | query.variables, theory.distinct_formulas())
 
 
 def _replay(space: _CountVectors, start: AttributeMultiset, rules: Sequence[tuple]) -> RewritePath:
@@ -207,14 +209,14 @@ def _walk_back(start: AttributeMultiset, end, parents: dict, space: _CountVector
     return _replay(space, start, fired[::-1])
 
 
-def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
-    """Layered BFS from the query antecedent.
+def _bfs_engine(space: _CountVectors, query: Mfd, budget: int) -> Iterator[tuple]:
+    """Layered BFS from the query antecedent over the compiled ``space``.
 
     Yields ("layer", nodes) after each finished depth, then exactly one of
     ("proved", path), ("exhausted", nodes) or ("budget", nodes).  A start
     that already covers the goal is proved by the empty path at any budget.
 
-    A state is one int holding the counts of ``formula._CountVectors`` in
+    A state is one int holding the counts of ``space`` in
     fields of ``width`` bits; the top bits of the fields, the guards G, stay
     0.  E fits under W exactly when W + (G - E) keeps every guard set: no field
     of the sum leaves ``[0, 2**width)``, so none borrows from or carries into
@@ -226,7 +228,6 @@ def _bfs_engine(theory: Theory, query: Mfd, budget: int) -> Iterator[tuple]:
     that rule's packed gain, so the predecessor is the node minus the gain.
     """
     start = query.antecedent
-    space = _CountVectors(_universe(theory, query), theory.distinct_formulas())
     start_v = space.vec(start)
     goal_v = space.vec(query.consequent)
 
@@ -301,7 +302,7 @@ def bfs_prove(theory: Theory, query: Mfd, budget: int = Budgets.bfs_nodes) -> Ve
     claims refutation.  The budget is checked as ``Budgets.bfs_nodes``.
     """
     budget = Budgets(bfs_nodes=budget).bfs_nodes
-    for kind, found in _bfs_engine(theory, query, budget):
+    for kind, found in _bfs_engine(_compile(theory, query), query, budget):
         pass  # one event per layer: keep only the last
     if kind == "proved":
         return _proved(theory, query, found)
@@ -399,15 +400,16 @@ def _sweep_algebra(
 
 
 def _countermodel_engine(
-    theory: Theory, query: Mfd, max_size: int, budget: int
+    space: _CountVectors, theory: Theory, query: Mfd, max_size: int, budget: int
 ) -> Iterator[tuple]:
-    """Scan enumerated pomonoids smallest-first for a refuting evaluation.
+    """Scan enumerated pomonoids smallest-first for a refuting evaluation
+    of the attributes of ``space``, in its order.
 
     Yields ("algebra", evals_used, algebras_scanned) after each swept
     algebra, then one of ("refuted", algebra, evaluation, evals, scanned),
     ("budget", evals, scanned) or ("exhausted", evals, scanned).
     """
-    variables = _universe(theory, query)
+    variables = space.names
     formulas = theory.distinct_formulas()
     evals_used = 0
     scanned = 0
@@ -447,8 +449,8 @@ def find_countermodel(
     as ``Budgets.max_algebra_size`` and ``Budgets.model_evals``.
     """
     budgets = Budgets(model_evals=budget, max_algebra_size=max_size)
-    for event in _countermodel_engine(theory, query, budgets.max_algebra_size,
-                                      budgets.model_evals):
+    for event in _countermodel_engine(_compile(theory, query), theory, query,
+                                      budgets.max_algebra_size, budgets.model_evals):
         pass
     return event[1:3] if event[0] == "refuted" else None
 
@@ -499,28 +501,12 @@ def _coverability_basis(
     return sorted(basis, reverse=True)
 
 
-def _refuting_invariant(
-    theory: Theory, query: Mfd, cap: int
-) -> Optional[Tuple[AttributeMultiset, ...]]:
-    """The checked basis of the multisets that rewrite to cover the query
-    consequent, when the antecedent covers none of it; None when it does,
-    or when the search would add more than ``cap`` multisets."""
-    space = _CountVectors(_universe(theory, query), theory.distinct_formulas())
-    basis = _coverability_basis(
-        space, space.vec(query.antecedent), space.vec(query.consequent), cap)
-    if basis is None:
-        return None
-    invariant = tuple(map(space.unvec, basis))
-    check_invariant(invariant, theory, query)
-    return invariant
-
-
 # =====================================================================
 # The combined decision procedure
 # =====================================================================
 
 
-def _saturation_path(theory: Theory, query: Mfd) -> RewritePath:
+def _saturation_path(space: _CountVectors, theory: Theory, query: Mfd) -> RewritePath:
     """A rewrite path for a query ``member`` accepts, made of its own firings.
 
     The firings are walked back with a demand D, first B: a firing E -> F is
@@ -528,7 +514,6 @@ def _saturation_path(theory: Theory, query: Mfd) -> RewritePath:
     walk stops once A covers D.  Rules of a non-contracting theory never
     consume E, so every kept firing still applies when replayed from A.
     """
-    space = _CountVectors(_universe(theory, query), theory.distinct_formulas())
     compiled = {entry[0]: entry for entry in space.rules}
     # the last firing is the marker rule's
     fired = [f for p in member_trace(theory, query).passes for f in p.fired][:-1]
@@ -561,13 +546,14 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     sweep spent, read from each engine's last event.  A sweep cut short by
     ``model_evals`` computes no basis.
     """
+    space = _compile(theory, query)
     if is_non_contracting_theory(theory):
         if not member(theory, query):
             return Refuted(query, "member-algorithm")
-        return _proved(theory, query, _saturation_path(theory, query))
-    prover = _bfs_engine(theory, query, budgets.bfs_nodes)
+        return _proved(theory, query, _saturation_path(space, theory, query))
+    prover = _bfs_engine(space, query, budgets.bfs_nodes)
     refuter = _countermodel_engine(
-        theory, query, budgets.max_algebra_size, budgets.model_evals
+        space, theory, query, budgets.max_algebra_size, budgets.model_evals
     )
     nodes = evals = scanned = 0
     graph_done = models_done = False
@@ -588,8 +574,11 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
                 refuter = None
             # a cap of 0 leaves the basis out (_coverability_basis reads it as no cap)
             if models_done and _BASIS_CAP:
-                invariant = _refuting_invariant(theory, query, _BASIS_CAP)
-                if invariant is not None:
+                basis = _coverability_basis(space, space.vec(query.antecedent),
+                                            space.vec(query.consequent), _BASIS_CAP)
+                if basis is not None:
+                    invariant = tuple(map(space.unvec, basis))
+                    check_invariant(invariant, theory, query)
                     return Refuted(query, "invariant", invariant=invariant)
     return Unknown(query, BudgetReport(nodes, graph_done, evals, scanned, models_done))
 

@@ -386,8 +386,9 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
       degrees land in (0, 1] and suit the unit-interval algebras.  The
       distance is float64 arithmetic on ``float()`` of each number: the
       squares ``d * d`` are summed left to right, then ``math.sqrt``, so a
-      degree is the same on every Python version; a finite difference
-      whose square overflows is out of range.  The function carries a
+      degree is the same on every Python version; a distance that is not
+      finite (a difference or a sum of squares beyond float range) is out
+      of range, for scalars and vectors alike.  The function carries a
       ``block(lefts, rights)`` kernel, which the relation check calls on
       two :func:`_float_column` arrays: the degrees of every pair of rows,
       bit for bit, or None where a distance is not finite.  Columns with
@@ -395,8 +396,9 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
       of different lengths) are computed pair by pair.
     * ``equality``: the unit on equal values, the designated ``bottom``
       element otherwise.
-    * ``table``: an explicit matrix over listed ``labels``; the diagonal
-      must be the unit (reflexivity is checked eagerly).
+    * ``table``: an explicit matrix over listed ``labels``; the labels, the
+      values and each row must be JSON arrays, and the diagonal must be the
+      unit (reflexivity is checked eagerly).
     """
     if kind == "exp_euclidean":
         if not isinstance(algebra, UnitIntervalPomonoid):
@@ -421,13 +423,10 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
                         if not (isinstance(x, Real) and isinstance(y, Real)):
                             raise TypeError
                         d = float(x) - float(y)
-                        square = d * d
-                        # out of float range; an infinite difference is not
-                        # an overflow here, its distance is inf
-                        if math.isinf(square) and math.isfinite(d):
-                            raise OverflowError
-                        total += square
+                        total += d * d
                     dist = math.sqrt(total)
+                if not math.isfinite(dist):
+                    raise OverflowError
                 return math.exp(-scale * dist)
             except (TypeError, OverflowError):
                 raise InvalidRelationError(
@@ -438,7 +437,7 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
         def block(lefts, rights):
             # exp_fn on every pair of rows of two _float_column arrays, by the
             # same IEEE operations; None where a distance is not finite, as
-            # exp_fn raises or gives a degree from an overflow there
+            # exp_fn raises there, so the pair path reports the first such pair
             with np.errstate(over="ignore", invalid="ignore"):
                 if lefts.ndim == 1:
                     dist = np.abs(lefts[:, None] - rights)
@@ -474,8 +473,9 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
         return eq_fn
 
     if kind == "table":
-        labels = list(params["labels"])
-        values = params["values"]
+        labels = _json_list(params["labels"], "table labels")
+        values = [_json_list(row, "a table row")
+                  for row in _json_list(params["values"], "table values")]
         pos = {v: i for i, v in enumerate(labels)}
         if len(pos) != len(labels):
             raise InvalidRelationError("table labels must be distinct")

@@ -11,6 +11,7 @@ import tracemalloc
 
 import pytest
 
+from mfdlogic import formula
 from mfdlogic import (
     Budgets,
     Mfd,
@@ -661,6 +662,18 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and out == ""
 
+    @pytest.mark.parametrize("command", ["member", "decide"])
+    @pytest.mark.parametrize("query", ["p p p -> q", "p p p p -> q"])
+    def test_multiplicity_past_the_cap(self, run, tmp_path, monkeypatch, command, query):
+        # p p p grows past the cap under p -> p p, and p p p p does not
+        # parse; a traceback exits 1, which would read as refuted
+        monkeypatch.setattr(formula, "MULTIPLICITY_CAP", 3)
+        theory = tmp_path / "grow.theory"
+        theory.write_text("p -> p p\n")
+        code, out, err = run(command, str(theory), query)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
     def test_relation_is_a_directory(self, run, tmp_path, data_dir):
         code, out, err = run(
             "check", str(tmp_path), theory_path(data_dir, "housing_fd.theory")
@@ -686,6 +699,8 @@ class TestErrors:
             ({"kind": "exp_euclidean", "c": 1}, [[1], [[1, 2]]]),
             # the squared distance overflows
             ({"kind": "exp_euclidean", "c": 1}, [[[1e200, 0]], [[-1e200, 0]]]),
+            # the distance overflows and 10^-400 underflows: the degree was NaN
+            ({"kind": "exp_euclidean", "c": 400}, [[1e308], [-1e308]]),
         ],
     )
     def test_values_the_similarity_cannot_compare(self, run, tmp_path, similarity, tuples):
@@ -694,6 +709,20 @@ class TestErrors:
         rel.write_text(json.dumps({
             "algebra": "product", "scheme": ["a"], "similarity": {"a": similarity},
             "tuples": tuples,
+        }))
+        theory = tmp_path / "a.theory"
+        theory.write_text("a -> a a\n")
+        code, out, err = run("check", str(rel), str(theory))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
+    def test_table_given_as_strings(self, run, tmp_path):
+        # "uv" used to load as the labels u and v, and "10" as a row
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps({
+            "algebra": "bool2", "scheme": ["a"],
+            "similarity": {"a": {"kind": "table", "labels": "uv", "values": ["10", "01"]}},
+            "tuples": [["u"], ["v"]],
         }))
         theory = tmp_path / "a.theory"
         theory.write_text("a -> a a\n")

@@ -205,7 +205,7 @@ def _engine_events(theory, query, budget):
         return Counter(dict(m.items()))
 
     events = []
-    for event in entail._bfs_engine(theory, query, budget):
+    for event in entail._bfs_engine(entail._compile(theory, query), query, budget):
         if event[0] == "proved":
             path = event[1]
             event = ("proved", counts(path.start), [
@@ -667,7 +667,7 @@ class TestDecide:
 def _naive_basis(theory, query):
     """The fixpoint built with predecessors m - gain, cut off at 0, instead of
     max(ant, m - gain): it leaves out that a rule needs its antecedent."""
-    space = formula._CountVectors(entail._universe(theory, query), theory.distinct_formulas())
+    space = entail._compile(theory, query)
     basis = {space.vec(query.consequent)}
     todo = list(basis)
     for m in todo:
@@ -731,20 +731,24 @@ class TestCoverabilityBasis:
         seen = Counter()
         for theory, query in self._instances(1717, 600):
             # a cap no instance here reaches: None means provable
-            invariant = entail._refuting_invariant(theory, query, 10_000)
+            space = entail._compile(theory, query)
+            basis = entail._coverability_basis(
+                space, space.vec(query.antecedent), space.vec(query.consequent), 10_000)
+            if basis is not None:
+                check_invariant(tuple(map(space.unvec, basis)), theory, query)
             if is_non_contracting_theory(theory):
-                assert (invariant is None) == member(theory, query)
-                seen["member", invariant is None] += 1
+                assert (basis is None) == member(theory, query)
+                seen["member", basis is None] += 1
                 continue
             bfs = bfs_prove(theory, query, 2_000)
             if isinstance(bfs, Proved):
-                assert invariant is None
+                assert basis is None
                 seen["proved"] += 1
             elif bfs.report.bfs_exhausted:
-                assert invariant is not None
+                assert basis is not None
                 seen["exhausted"] += 1
             else:
-                seen["budget", invariant is None] += 1
+                seen["budget", basis is None] += 1
         # where the BFS ran out, the basis refuted every one
         assert min(seen.values()) >= 10 and len(seen) == 5, seen
 
@@ -812,7 +816,7 @@ class TestCoverabilityBasis:
         # step, so past the cap the BFS proves it, after the sweep is done
         theory = parse_theory("a b -> b b")
         query = Mfd(M("a").power(100).union(M("b")), M("b").power(101))
-        space = formula._CountVectors(entail._universe(theory, query), theory.distinct_formulas())
+        space = entail._compile(theory, query)
         start, goal = space.vec(query.antecedent), space.vec(query.consequent)
         assert entail._coverability_basis(space, start, goal, 64) is None
         assert entail._coverability_basis(space, (99, 1), goal, 10**4) == [
@@ -846,7 +850,8 @@ class TestUnknownReportIsScheduleFree:
             bfs = bfs_prove(theory, query, budgets.bfs_nodes)
             assert isinstance(bfs, Unknown)
             *_, last = entail._countermodel_engine(
-                theory, query, budgets.max_algebra_size, budgets.model_evals)
+                entail._compile(theory, query), theory, query,
+                budgets.max_algebra_size, budgets.model_evals)
             assert last[0] in ("budget", "exhausted")
             assert verdict.report == BudgetReport(
                 bfs_nodes_used=bfs.report.bfs_nodes_used,
@@ -988,7 +993,8 @@ class TestMultiplicityCap:
         with pytest.raises(MultiplicityOverflowError):
             decide(growing, query)
         with pytest.raises(MultiplicityOverflowError):
-            entail._saturation_path(growing, F("p p p -> p p p p"))
+            saturating = F("p p p -> p p p p")
+            entail._saturation_path(entail._compile(growing, saturating), growing, saturating)
         with pytest.raises(MultiplicityOverflowError):
             bfs_prove(contracting, query)
 

@@ -533,6 +533,16 @@ class TestBuiltinSimilarity:
         with pytest.raises(InvalidRelationError):
             fn(a, b)
 
+    @pytest.mark.parametrize("c", [0, 2, 400])
+    def test_exp_euclidean_infinite_distance_is_out_of_range(self, c):
+        # |1e308 - -1e308| overflows: the degree used to be 0.0, or NaN
+        # once 10^-c underflows to 0.0
+        fn = builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": c})
+        for a, b in ((1e308, -1e308), ((1e308, 0), (-1e308, 5)), ((1e200, 0), (-1e200, 0))):
+            with pytest.raises(InvalidRelationError, match="within float range"):
+                fn(a, b)
+        assert fn(1e308, 1e308) == 1.0
+
     def test_exp_euclidean_needs_real_degrees(self):
         with pytest.raises(InvalidRelationError):
             builtin_similarity("exp_euclidean", builtin_algebra("bool2"), {"c": 2})
@@ -586,6 +596,12 @@ class TestBuiltinSimilarity:
                 nonlinear_algebra,
                 {"labels": ["red", "blue"], "values": [["1", "a"]]},
             )
+        # a string is no array: "rb" used to be read as the labels r and b
+        for labels, values in (("rb", [["1", "a"], ["a", "1"]]), (["r", "b"], ["1a", "a1"]),
+                               (["r", "b"], "1aa1")):
+            with pytest.raises(InvalidRelationError, match="must be a list"):
+                builtin_similarity(
+                    "table", nonlinear_algebra, {"labels": labels, "values": values})
 
     @pytest.mark.parametrize("bad", [2.5, -0.5, "-3", "0.5", float("nan"), True, None, [0.5]])
     def test_table_degrees_lie_in_the_unit_interval(self, bad):
