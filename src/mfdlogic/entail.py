@@ -6,13 +6,14 @@ runs breadth-first search from A looking for any multiset containing B and
 reconstructs a checkable certificate from the path.  The refuter sweeps
 evaluations over exhaustively enumerated finite pomonoids, smallest first,
 until one models the theory but not the query.  ``decide`` interleaves the
-two, except when the theory is non-contracting: there the member procedure
-answers yes or no outright, and a yes is certified from the rule firings of
-its own saturation run, with no search at all.  Once the sweep has covered
-every algebra up to the size cap, ``decide`` computes the backward
-coverability basis of the query consequent; if the antecedent lies outside
-its upward closure, that basis is an inductive invariant showing the query
-unprovable, and the BFS stops.
+two on equal shares of time, so it costs at most about twice the engine
+that answers, except when the theory is non-contracting: there the member
+procedure answers yes or no outright, and a yes is certified from the rule
+firings of its own saturation run, with no search at all.  Once the sweep
+has covered every algebra up to the size cap, ``decide`` computes the
+backward coverability basis of the query consequent; if the antecedent lies
+outside its upward closure, that basis is an inductive invariant showing
+the query unprovable, and the BFS stops.
 
 Each query is compiled once (``_compile``, a ``formula._CountVectors``):
 the BFS, the saturation path and the basis rewrite its count tuples, the
@@ -31,6 +32,7 @@ import heapq
 import operator
 from dataclasses import dataclass, fields
 from itertools import chain, product
+from time import perf_counter
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -355,13 +357,15 @@ def _sweep_algebra(
     tables, ``times[x * s + y]`` and ``leq[a * s + b]``.  Powers are folded
     by repeated squaring, exact for the associative tables
     ``enumerate_pomonoids`` yields."""
-    times, leq = (table.ravel() for table in algebra.np_tables())
     s = algebra.size
+    if s == 1:
+        return None, min(1, limit)  # its one evaluation models every formula
+    times, leq = (table.ravel() for table in algebra.np_tables())
     k = len(variables)
     count = min(s**k, limit)
     m = 0
-    # the digits that vary within a tile; with one element none vary
-    while m < k and 1 < s ** (m + 1) <= _TILE_EVALS:
+    # the digits that vary within a tile
+    while m < k and s ** (m + 1) <= _TILE_EVALS:
         m += 1
     tile = s**m
     width = min(tile, count)
@@ -535,16 +539,20 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     procedure answers yes/no outright, and a yes is certified from the
     firings of its saturation run, with no budget and not necessarily the
     shortest path.  Otherwise the loop below interleaves the prover and the
-    refuter, one BFS layer against one algebra sweep, first hit wins.  When
-    the sweep has covered every algebra up to ``budgets.max_algebra_size``
-    without a countermodel, the coverability basis of the consequent is
-    computed, with at most ``_BASIS_CAP`` (64) vectors added; if it leaves
-    out the antecedent, the query is refuted by that basis (method
-    ``"invariant"``).  If it shows the query provable or outgrows its cap,
-    the BFS runs on as before, so every other verdict is what it would be
-    without the basis; an Unknown's report counts only what the BFS and the
-    sweep spent, read from each engine's last event.  A sweep cut short by
-    ``model_evals`` computes no basis.
+    refuter, first hit wins, on equal shares of time: each step, one BFS
+    layer or one algebra sweep (with the basis hook after it), goes to the
+    live engine that has spent less ``perf_counter`` time so far, the BFS on
+    a tie.  The engine that does not answer spends at most the other's time
+    plus one step of its own, so ``decide`` costs at most about twice the
+    engine that answers.  When the sweep has covered every algebra up to
+    ``budgets.max_algebra_size`` without a countermodel, the coverability
+    basis of the consequent is computed, with at most ``_BASIS_CAP`` (64)
+    vectors added; if it leaves out the antecedent, the query is refuted by
+    that basis (method ``"invariant"``).  If it shows the query provable or
+    outgrows its cap, the BFS runs on as before, so every other verdict is
+    what it would be without the basis; an Unknown's report counts only what
+    the BFS and the sweep spent, read from each engine's last event.  A
+    sweep cut short by ``model_evals`` computes no basis.
     """
     space = _compile(theory, query)
     if is_non_contracting_theory(theory):
@@ -557,15 +565,18 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     )
     nodes = evals = scanned = 0
     graph_done = models_done = False
+    bfs_s = sweep_s = 0.0
     while prover or refuter:
-        if prover:
+        start = perf_counter()
+        if prover and (bfs_s <= sweep_s or not refuter):
             event = next(prover)
+            bfs_s += perf_counter() - start
             if event[0] == "proved":
                 return _proved(theory, query, event[1])
             nodes, graph_done = event[1], event[0] == "exhausted"
             if event[0] != "layer":
                 prover = None
-        if refuter:
+        else:
             event = next(refuter)
             if event[0] == "refuted":
                 return Refuted(query, "countermodel", event[1], event[2])
@@ -580,6 +591,7 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
                     invariant = tuple(map(space.unvec, basis))
                     check_invariant(invariant, theory, query)
                     return Refuted(query, "invariant", invariant=invariant)
+            sweep_s += perf_counter() - start
     return Unknown(query, BudgetReport(nodes, graph_done, evals, scanned, models_done))
 
 

@@ -494,7 +494,7 @@ class TestDigitColumnCache:
     @staticmethod
     def tile_digits(s, k, tile):
         m = 0
-        while m < k and 1 < s ** (m + 1) <= tile:
+        while m < k and s ** (m + 1) <= tile:
             m += 1
         return m
 
@@ -505,7 +505,7 @@ class TestDigitColumnCache:
         by_size = {}
         for algebra in enumerate_pomonoids(5):
             by_size.setdefault(algebra.size, []).append(algebra)
-        used = set()
+        used, sizes = set(), set()
         for _ in range(120):
             theory, query = TestTiledSweep().random_case(rng)
             variables = sorted(theory.variables | query.variables)
@@ -522,10 +522,13 @@ class TestDigitColumnCache:
             for tile in (default, *TestTiledSweep.TILES):
                 monkeypatch.setattr(entail, "_TILE_EVALS", tile)
                 assert entail._sweep_algebra(*args) == expected, tile
-                used.add((s, self.tile_digits(s, k, tile)))
-        assert {size for size, _ in used} == {1, 2, 3, 4, 5}
+                sizes.add(s)
+                if s > 1:
+                    used.add((s, self.tile_digits(s, k, tile)))
+        assert sizes == {1, 2, 3, 4, 5}
         cache = entail._DIGIT_COLUMNS
-        # one entry per (s, m): none for a budget's width
+        # one entry per (s, m) of an algebra with a tile: none for a budget's
+        # width, and none for the one-element algebra
         assert set(cache) == used
         for (s, m), columns in cache.items():
             # each entry spans a whole tile, however short the budget cut it
@@ -549,6 +552,23 @@ class TestDigitColumnCache:
                 with pytest.raises(ValueError):
                     column[0] = 1
         assert arrays >= 3 * 4
+
+
+class TestOneElementAlgebra:
+    """The one-element algebra models every formula, so its one evaluation
+    is counted without the tiled kernel."""
+
+    def test_counted_without_tiles(self, monkeypatch):
+        def no_tiles(s, m):
+            raise AssertionError("the one-element algebra needs no tile")
+
+        monkeypatch.setattr(entail, "_tile_columns", no_tiles)
+        (one,) = enumerate_pomonoids(1)
+        theory, query = parse_theory("a a -> b\nb -> c c"), F("a -> c")
+        for variables in ([], ["a"], ["a", "b", "c"]):
+            for limit in (1, 2, 10**6):
+                assert entail._sweep_algebra(
+                    one, theory.distinct_formulas(), query, variables, limit) == (None, 1)
 
 
 # ============================================================
@@ -826,9 +846,10 @@ class TestCoverabilityBasis:
 
 
 class TestUnknownReportIsScheduleFree:
-    """``decide`` runs one BFS layer against one algebra sweep, but each
-    engine's figures are its own: an Unknown reports what ``bfs_prove``
-    spends alone plus what the model sweep spends alone, run to its end."""
+    """``decide`` steps whichever engine has spent less time, a BFS layer or
+    an algebra sweep, but each engine's figures are its own: an Unknown
+    reports what ``bfs_prove`` spends alone plus what the model sweep spends
+    alone, run to its end, whatever order their steps ran in."""
 
     def test_report_is_the_sum_of_solo_runs(self):
         rng = random.Random(60)
@@ -863,6 +884,77 @@ class TestUnknownReportIsScheduleFree:
             exhausted += verdict.report.bfs_exhausted + verdict.report.models_exhausted
         # both engines' ends show up: budget cuts and finished spaces
         assert 0 < exhausted < 2 * unknown
+
+
+class TestTimeBalancedSchedule:
+    """With a fake clock that charges a fixed cost per BFS layer and per
+    algebra sweep, ``decide`` steps the live engine that has spent less (the
+    BFS on a tie), the engine that does not answer spends at most the
+    other's total plus one step of its own, and the verdict is what the
+    engine that answers gives run alone."""
+
+    def test_steps_go_to_the_engine_behind(self, monkeypatch):
+        now, log = [0], []
+
+        def charged(engine, name, cost):
+            def run(*args):
+                for event in engine(*args):
+                    now[0] += cost[name]
+                    log.append((name, event[0] in ("layer", "algebra")))
+                    yield event
+            return run
+
+        cost = {}
+        monkeypatch.setattr(entail, "perf_counter", lambda: now[0])
+        monkeypatch.setattr(entail, "_bfs_engine", charged(entail._bfs_engine, "bfs", cost))
+        monkeypatch.setattr(entail, "_countermodel_engine",
+                            charged(entail._countermodel_engine, "sweep", cost))
+        rng = random.Random(61)
+        names = ("a", "b", "c")
+        kinds, overtaken, cases = Counter(), 0, 0
+        while cases < 50:
+            theory = Theory(tuple(
+                Mfd(rand_multiset(rng, names, 3), rand_multiset(rng, names, 3))
+                for _ in range(rng.randint(1, 3))
+            ))
+            if is_non_contracting_theory(theory):
+                continue
+            cases += 1
+            query = Mfd(rand_multiset(rng, names, 3), rand_multiset(rng, names, 3))
+            budgets = Budgets(rng.randint(1, 300), rng.randint(1, 3000), rng.randint(1, 4))
+            cost.update(bfs=rng.randint(1, 6), sweep=rng.randint(1, 6))
+            log.clear()
+            verdict = decide(theory, query, budgets)
+            spent, live = {"bfs": 0, "sweep": 0}, {"bfs": True, "sweep": True}
+            for name, more in log:
+                behind = "bfs" if spent["bfs"] <= spent["sweep"] else "sweep"
+                assert name == (behind if live["bfs"] and live["sweep"] else
+                                "bfs" if live["bfs"] else "sweep")
+                overtaken += live["bfs"] and live["sweep"] and name == "sweep"
+                spent[name] += cost[name]
+                live[name] = more
+            bfs = bfs_prove(theory, query, budgets.bfs_nodes)
+            model = find_countermodel(theory, query, budgets.max_algebra_size,
+                                      budgets.model_evals)
+            if isinstance(verdict, Proved):
+                kinds["proved"] += 1
+                assert spent["sweep"] <= spent["bfs"] + cost["sweep"]
+                assert verdict == bfs
+            elif isinstance(verdict, Refuted):
+                kinds[verdict.method] += 1
+                assert spent["bfs"] <= spent["sweep"] + cost["bfs"]
+                assert not isinstance(bfs, Proved)
+                if verdict.method == "countermodel":
+                    assert model == (verdict.algebra, verdict.evaluation)
+                else:
+                    assert model is None
+            else:
+                kinds["unknown"] += 1
+                assert isinstance(bfs, Unknown) and model is None
+        # proofs, countermodels and invariants all answer, and the sweep is stepped
+        # while the BFS is still live
+        assert kinds["proved"] and kinds["countermodel"] and kinds["invariant"], kinds
+        assert overtaken > 0
 
 
 class TestBudgetsContract:
