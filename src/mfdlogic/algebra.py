@@ -816,8 +816,13 @@ def load_algebra(source: str) -> Algebra:
     """Resolve a builtin name or a JSON file path to an algebra."""
     if source in BUILTIN_ALGEBRA_NAMES:
         return builtin_algebra(source)
-    with open(source, "r", encoding="utf-8") as fh:
+    return algebra_from_json(_read_json(source, InvalidAlgebraError))
+
+
+def _read_json(path: str, error: type):
+    """The JSON document in a file; invalid JSON raises ``error``."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            return algebra_from_json(json.load(fh))
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InvalidAlgebraError(f"invalid JSON in {source}: {exc}") from exc
+            raise error(f"invalid JSON in {path}: {exc}") from exc

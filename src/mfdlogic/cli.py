@@ -20,6 +20,7 @@ readable report; degrees print with four decimals otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -139,11 +140,6 @@ def _evaluation_to_json(e: alg.Evaluation) -> dict:
     return {attr: e.degree_name(attr) for attr in sorted(e.assignment)}
 
 
-# the "budget" object of an Unknown verdict, in output order
-_BUDGET_KEYS = ("bfs_nodes_used", "bfs_exhausted", "model_evals_used",
-                "algebras_scanned", "models_exhausted")
-
-
 def verdict_to_json(v: entail.Verdict) -> dict:
     """Structural JSON form of a verdict; inverse of verdict_from_json."""
     if isinstance(v, entail.Proved):
@@ -172,7 +168,7 @@ def verdict_to_json(v: entail.Verdict) -> dict:
             doc["invariant"] = [format_multiset(m) for m in v.invariant]
         return doc
     if isinstance(v, entail.Unknown):
-        budget = {key: getattr(v.report, key) for key in _BUDGET_KEYS}
+        budget = dataclasses.asdict(v.report)  # in field order
         return {"verdict": "unknown", "query": format_mfd(v.query), "budget": budget}
     raise TypeError(f"not a verdict: {v!r}")
 
@@ -210,7 +206,8 @@ def verdict_from_json(doc: dict) -> entail.Verdict:
             invariant = tuple(map(parse_multiset, doc["invariant"]))
         return entail.Refuted(query, doc["method"], algebra, evaluation, invariant)
     if kind == "unknown":
-        report = entail.BudgetReport(**{key: doc["budget"][key] for key in _BUDGET_KEYS})
+        fields = dataclasses.fields(entail.BudgetReport)
+        report = entail.BudgetReport(**{f.name: doc["budget"][f.name] for f in fields})
         return entail.Unknown(query, report)
     raise ValueError(f"unknown verdict kind {kind!r}")
 

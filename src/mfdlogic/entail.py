@@ -320,9 +320,9 @@ def bfs_prove(theory: Theory, query: Mfd, budget: int = Budgets.bfs_nodes) -> Ve
 # few arrays of at most this many elements, whatever the budget.
 _TILE_EVALS = 1 << 14
 
-# The low digit columns of a whole tile, keyed by (algebra size s, digits m):
-# the m base-s digits of 0 .. s**m - 1, as read-only arrays.  One entry per
-# key whatever the budget, as a tile cut short reads a prefix of them.
+# The low digit columns of a tile, keyed by (algebra size s, digits m): the
+# m base-s digits of 0 .. s**m - 1, as read-only arrays.  Every tile is
+# computed whole, so one entry per key serves every budget.
 _DIGIT_COLUMNS: dict = {}
 
 
@@ -351,11 +351,11 @@ def _sweep_algebra(
     The evaluations are covered in tiles of s**m, the largest power of the
     algebra size s within ``_TILE_EVALS``: the last m variables run through
     the digit columns of ``_tile_columns``, built once per (s, m) for the
-    whole process and shared read-only by every algebra and call (a tile
-    cut short by the budget reads their prefix); the others are constant
-    per tile.  Products and the order are looked up in the flattened
-    tables, ``times[x * s + y]`` and ``leq[a * s + b]``.  Powers are folded
-    by repeated squaring, exact for the associative tables
+    whole process and shared read-only by every algebra and call; the others
+    are constant per tile.  A tile the budget cuts is computed whole, its
+    hits clipped at the budget.  Products and the order are looked up in the
+    flattened tables, ``times[x * s + y]`` and ``leq[a * s + b]``.  Powers
+    are folded by repeated squaring, exact for the associative tables
     ``enumerate_pomonoids`` yields."""
     s = algebra.size
     if s == 1:
@@ -368,10 +368,7 @@ def _sweep_algebra(
     while m < k and s ** (m + 1) <= _TILE_EVALS:
         m += 1
     tile = s**m
-    width = min(tile, count)
     low = _tile_columns(s, m)
-    if width < tile:
-        low = tuple(column[:width] for column in low)
 
     def degree(ms: AttributeMultiset, columns: dict):
         # a scalar until some factor varies within the tile
@@ -386,10 +383,9 @@ def _sweep_algebra(
                     power = times[power * (s + 1)]
         return algebra.unit if acc is None else acc
 
-    # a last tile cut by the budget is computed whole, its hits clipped
     for start, high in zip(range(0, count, tile), product(range(s), repeat=k - m)):
         columns = dict(zip(variables, (*high, *low)))
-        models = np.ones(width, dtype=bool)
+        models = np.ones(tile, dtype=bool)
         for f in formulas:
             models &= leq[degree(f.antecedent, columns) * s + degree(f.consequent, columns)]
             if not models.any():
@@ -481,9 +477,10 @@ def _coverability_basis(
     predecessor above an element is dropped; one that is not replaces the
     elements above it.  No vector added lies above one added before it, so
     the search ends (Dickson's lemma), but only the cap bounds how late: it
-    counts every vector added, replaced ones too.  Vectors are expanded
-    smallest total first, as a small one replaces more of the others."""
-    if all(map(operator.le, goal, start)):
+    counts every vector added, the goal first and replaced ones too, so a
+    cap below 1 gives None at once.  Vectors are expanded smallest total
+    first, as a small one replaces more of the others."""
+    if cap < 1 or all(map(operator.le, goal, start)):
         return None
     basis = {goal}
     todo = [(sum(goal), 0, goal)]
@@ -583,8 +580,7 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
             evals, scanned, models_done = event[1], event[2], event[0] == "exhausted"
             if event[0] != "algebra":
                 refuter = None
-            # a cap of 0 leaves the basis out (_coverability_basis reads it as no cap)
-            if models_done and _BASIS_CAP:
+            if models_done:
                 basis = _coverability_basis(space, space.vec(query.antecedent),
                                             space.vec(query.consequent), _BASIS_CAP)
                 if basis is not None:

@@ -29,8 +29,6 @@ __all__ = [
     "AttributeMultiset",
     "TOP",
     "singleton",
-    "multiset_union",
-    "multiset_power",
     "divides",
     "Mfd",
     "Theory",
@@ -195,14 +193,6 @@ def singleton(name: str, count: int = 1) -> AttributeMultiset:
     return AttributeMultiset({name: count})
 
 
-def multiset_union(a: AttributeMultiset, b: AttributeMultiset) -> AttributeMultiset:
-    return a.union(b)
-
-
-def multiset_power(a: AttributeMultiset, n: int) -> AttributeMultiset:
-    return a.power(n)
-
-
 def divides(e: AttributeMultiset, w: AttributeMultiset) -> Optional[AttributeMultiset]:
     """The unique X with E*X = W, or None when E does not divide W.
 
@@ -322,9 +312,6 @@ class Theory:
     def distinct_formulas(self) -> Tuple[Mfd, ...]:
         """Deduplicated formulas in first-occurrence order."""
         return tuple(dict.fromkeys(self.formulas))
-
-    def extended(self, *extra: Mfd) -> "Theory":
-        return Theory(self.formulas + tuple(extra))
 
     def __str__(self) -> str:
         return format_theory(self)

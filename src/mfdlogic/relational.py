@@ -18,7 +18,6 @@ relation decomposes into one evaluation per ordered pair of rows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -32,6 +31,7 @@ from .algebra import (
     FinitePomonoid,
     InvalidAlgebraError,
     UnitIntervalPomonoid,
+    _read_json,
     algebra_from_json,
     builtin_algebra,
     evaluate,
@@ -68,19 +68,10 @@ class InvalidRelationError(ValueError):
 
 @dataclass
 class SimilaritySpace:
-    """Per-attribute similarity maps into a shared degree algebra.
-
-    ``domains`` is optional shape metadata ("scalar", "vector2", ...,
-    "token") used when loading tuples from files.
-    """
+    """Per-attribute similarity maps into a shared degree algebra."""
 
     algebra: Algebra
     functions: Dict[str, SimilarityFn]
-    domains: Dict[str, str] = None
-
-    def __post_init__(self):
-        if self.domains is None:
-            self.domains = {}
 
     def degree(self, attr: str, a, b):
         try:
@@ -205,10 +196,12 @@ def _float_column(values: Sequence) -> Optional[np.ndarray]:
 
 def _batched(algebra: Algebra):
     """(dtype, times, leq) of the algebra on numpy arrays of degrees, entry
-    by entry the same as its scalar ``times`` and ``leq_holds``."""
+    by entry the same as its scalar ``times`` and ``leq_holds``; a finite
+    algebra's are read from its flat tables at ``a * size + b``."""
     if isinstance(algebra, FinitePomonoid):
-        times_table, leq_table = algebra.np_tables()
-        return np.intp, (lambda a, b: times_table[a, b]), (lambda a, b: leq_table[a, b])
+        s = algebra.size
+        times_table, leq_table = (table.ravel() for table in algebra.np_tables())
+        return np.intp, (lambda a, b: times_table[a * s + b]), (lambda a, b: leq_table[a * s + b])
     if algebra.kind == "product":
         return np.float64, np.multiply, np.less_equal
     if algebra.kind == "min":
@@ -235,19 +228,22 @@ def _fold(times, unit: np.ndarray, degrees: Mapping[str, np.ndarray],
 
 
 def _tile_failure(
-    rel: RankedRelation, f: Mfd,
+    rel: RankedRelation, f: Mfd, batched: tuple,
     coded: Mapping[str, Tuple[np.ndarray, List, Optional[np.ndarray]]], rows: range,
 ) -> Optional[Tuple[int, int]]:
-    """First failing pair with its row in ``rows``, row-major, or None.
+    """First pair failing ``f`` with its row in ``rows``, row-major, or None.
 
-    Each attribute's similarity is called once per distinct pair of (tile
-    value, column value), unless its ``block`` kernel computes all of them
-    at once; the tile's degrees are gathered from those by the codes.
+    ``batched`` is :func:`_batched` of the algebra and ``coded`` holds
+    :func:`_code_column` of each attribute of ``f``, read in sorted order.
+    Each similarity is called once per distinct pair of (tile value, column
+    value), unless its ``block`` kernel computes all of them at once; the
+    tile's degrees are gathered from those by the codes.
     """
     algebra = rel.similarity.algebra
-    dtype, times, leq = _batched(algebra)
+    dtype, times, leq = batched
     degrees = {}
-    for attr, (codes, values, floats) in coded.items():
+    for attr in sorted(f.variables):
+        codes, values, floats = coded[attr]
         fn = rel.similarity.functions[attr]
         local: Dict[int, int] = {}
         tile = [local.setdefault(c, len(local)) for c in codes[rows.start : rows.stop].tolist()]
@@ -256,6 +252,9 @@ def _tile_failure(
             block = np.array([[fn(values[c], b) for b in values] for c in local])
         if not np.can_cast(block.dtype, dtype, "safe"):
             raise TypeError(f"{attr!r} has degrees of type {block.dtype} over {algebra!r}")
+        if dtype is np.intp and not 0 <= block.min() <= block.max() < algebra.size:
+            # the flat tables would read some other entry
+            raise IndexError(f"{attr!r} has a degree outside {algebra!r}")
         degrees[attr] = block.astype(dtype, copy=False)[np.array(tile)[:, None], codes]
     unit = np.full((len(rows), len(rel.tuples)), algebra.unit, dtype=dtype)
     holds = leq(_fold(times, unit, degrees, f.antecedent), _fold(times, unit, degrees, f.consequent))
@@ -280,42 +279,42 @@ def _scan_failure(
 def satisfies_relation(
     rel: RankedRelation, f: Mfd
 ) -> Tuple[bool, Optional[RelationViolation]]:
-    """Check a dependency over all ordered row pairs, diagonal included.
-
-    Returns (True, None) or (False, first violation in row-major order)
-    with both aggregated degrees.  Rows are checked in tiles of about
-    ``_TILE_PAIRS`` pairs, so memory stays bounded at any size; within a
-    tile each similarity is called once per distinct pair of values.
-    """
-    columns = _columns(rel, sorted(f.variables))
-    coded = {attr: _code_column(rel, pos) for attr, pos in columns}
-    n = len(rel.tuples)
-    step = max(1, _TILE_PAIRS // max(n, 1))
-    for start in range(0, n, step):
-        rows = range(start, min(n, start + step))
-        try:
-            failure = _tile_failure(rel, f, coded, rows)
-        except Exception:
-            # A value a similarity cannot take, or a degree the algebra
-            # cannot hold: the pair scan decides whether a violation comes
-            # before the error, and raises it otherwise.
-            failure = _scan_failure(rel, f, columns, rows)
-        if failure is not None:
-            i, j = failure
-            e = _pair_evaluation(rel, i, j, columns, Evaluation(rel.similarity.algebra))
-            da, db = evaluate(e, f.antecedent), evaluate(e, f.consequent)
-            return False, RelationViolation(f, i, j, da, db)
-    return True, None
+    """:func:`relation_models` of the one-formula theory."""
+    return relation_models(rel, Theory((f,)))
 
 
 def relation_models(
     rel: RankedRelation, theory: Theory
 ) -> Tuple[bool, Optional[RelationViolation]]:
-    """Check every theory formula; returns the first violation if any."""
+    """Check every theory formula over all ordered row pairs, diagonal included.
+
+    Returns (True, None), or (False, the first violation) with both
+    aggregated degrees: formulas in first-occurrence order, pairs row-major.
+    Rows are checked in tiles of about ``_TILE_PAIRS`` pairs, so memory
+    stays bounded at any size, and each column is coded once per call.
+    """
+    batched = _batched(rel.similarity.algebra)
+    coded: dict = {}
+    n = len(rel.tuples)
+    step = max(1, _TILE_PAIRS // max(n, 1))
     for f in theory.distinct_formulas():
-        ok, violation = satisfies_relation(rel, f)
-        if not ok:
-            return False, violation
+        columns = _columns(rel, sorted(f.variables))
+        for attr, pos in columns:
+            if attr not in coded:
+                coded[attr] = _code_column(rel, pos)
+        for start in range(0, n, step):
+            rows = range(start, min(n, start + step))
+            try:
+                failure = _tile_failure(rel, f, batched, coded, rows)
+            except Exception:
+                # A value a similarity cannot take, or a degree the algebra
+                # cannot hold: the pair scan decides whether a violation comes
+                # before the error, and raises it otherwise.
+                failure = _scan_failure(rel, f, columns, rows)
+            if failure is not None:
+                i, j = failure
+                return False, RelationViolation(f, i, j, tuple_similarity(rel, i, j, f.antecedent),
+                                                tuple_similarity(rel, i, j, f.consequent))
     return True, None
 
 
@@ -602,14 +601,8 @@ def relation_from_json(doc: Mapping) -> RankedRelation:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidRelationError(f"malformed relation description: {exc}") from exc
 
-    space = SimilaritySpace(algebra, functions, domains)
-    return RankedRelation(tuple(scheme), tuple(tuples), space)
+    return RankedRelation(tuple(scheme), tuple(tuples), SimilaritySpace(algebra, functions))
 
 
 def load_relation(path: str) -> RankedRelation:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidRelationError(f"invalid JSON in {path}: {exc}") from exc
-    return relation_from_json(doc)
+    return relation_from_json(_read_json(path, InvalidRelationError))

@@ -831,6 +831,16 @@ class TestCoverabilityBasis:
             off = decide(theory, query, tight)
             assert isinstance(off, Unknown) and off.report.models_exhausted
 
+    def test_cap_counts_the_goal(self):
+        # nothing rewrites to cover c under a -> b, so the basis is the goal
+        # alone; a cap below 1 admits not even that
+        theory, query = parse_theory("a -> b"), F("a -> c")
+        space = entail._compile(theory, query)
+        start, goal = space.vec(query.antecedent), space.vec(query.consequent)
+        assert entail._coverability_basis(space, start, goal, 1) == [goal]
+        for cap in (0, -1):
+            assert entail._coverability_basis(space, start, goal, cap) is None
+
     def test_counter_hands_back_to_the_bfs(self):
         # a^n b -> b^(n+1) under a b -> b b: the basis grows one vector per
         # step, so past the cap the BFS proves it, after the sweep is done

@@ -26,8 +26,6 @@ from mfdlogic import (
     is_non_contracting,
     is_non_contracting_theory,
     is_trivial,
-    multiset_power,
-    multiset_union,
     parse_mfd,
     parse_multiset,
     parse_theory,
@@ -112,7 +110,6 @@ class TestMultisetAlgebra:
     @given(multisets, multisets)
     def test_union_commutes(self, a, b):
         assert a.union(b) == b.union(a)
-        assert multiset_union(a, b) == a.union(b)
 
     @given(multisets, multisets, multisets)
     def test_union_associates(self, a, b, c):
@@ -133,7 +130,6 @@ class TestMultisetAlgebra:
         assert a.power(1) == a
         assert a.power(2) == a.union(a)
         assert a.power(3).total == 3 * a.total
-        assert multiset_power(a, 2) == a.power(2)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -215,13 +211,6 @@ class TestTheory:
         t = parse_theory("a b -> c\nd -> a")
         assert t.variables == frozenset("abcd")
         assert parse_mfd("a a -> b").variables == frozenset("ab")
-
-    def test_extended(self):
-        t = parse_theory("a -> b")
-        f = parse_mfd("b -> c")
-        t2 = t.extended(f)
-        assert t2.formulas == t.formulas + (f,)
-        assert len(t) == 1  # original untouched
 
 
 class TestSlottedValues:

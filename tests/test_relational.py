@@ -180,6 +180,45 @@ class TestSatisfiesRelation:
         )
         assert ok2 is True and v2 is None
 
+    @pytest.mark.parametrize("theory,holds", [("x -> x\nx z -> x\nx -> y", False),
+                                              ("x -> x\nx x -> x\nx z -> x", True)],
+                             ids=["fails", "holds"])
+    def test_each_column_is_coded_once(self, monkeypatch, theory, holds):
+        # three formulas share x, and only the last may fail: x is coded once
+        rng = random.Random(11)
+        rows = [(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)) for _ in range(12)]
+        fn = lambda a, b: 1.0 if a == b else 0.5
+        rel = RankedRelation(("x", "y", "z"), rows,
+                             SimilaritySpace(builtin_algebra("product"), dict.fromkeys("xyz", fn)))
+        theory = parse_theory(theory)
+        verdicts = [satisfies_relation(rel, f) for f in theory.distinct_formulas()]
+        expected = next((v for v in verdicts if not v[0]), (True, None))
+        assert expected[0] == holds
+        coded = []
+        code = relational._code_column
+        monkeypatch.setattr(relational, "_code_column",
+                            lambda rel, pos: coded.append(rel.scheme[pos]) or code(rel, pos))
+        assert relation_models(rel, theory) == expected
+        assert coded.count("x") == 1
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_degrees_outside_a_finite_algebra(self, bad):
+        # the flat tables would read another entry at a degree of -1 or 2;
+        # the pair scan indexes the nested tables, as the scalar algebra does
+        algebra = builtin_algebra("bool2")
+        fn = lambda a, b: algebra.unit if a == b else bad
+        rel = RankedRelation(("a", "b"), [("u", "x"), ("u", "y")],
+                             SimilaritySpace(algebra, {"a": fn, "b": fn}))
+        for f in (F("a -> b"), F("b b -> a"), F("a b -> a")):
+            if bad < 0:
+                assert TestAgainstPairScan.first_violation(rel, f) is None
+                assert satisfies_relation(rel, f) == (True, None)
+            else:
+                with pytest.raises(IndexError):
+                    TestAgainstPairScan.first_violation(rel, f)
+                with pytest.raises(IndexError):
+                    satisfies_relation(rel, f)
+
 
 class TestAgainstPairScan:
     """satisfies_relation against a brute-force tuple_similarity scan, with
