@@ -6,8 +6,9 @@ runs breadth-first search from A looking for any multiset containing B and
 reconstructs a checkable certificate from the path.  The refuter sweeps
 evaluations over exhaustively enumerated finite pomonoids, smallest first,
 until one models the theory but not the query.  ``decide`` interleaves the
-two on equal shares of time, so it costs at most about twice the engine
-that answers, except when the theory is non-contracting: there the member
+two on equal shares of time, a BFS layer or a sweep tile per step, so it
+costs at most about twice the engine that answers, plus one tile, except
+when the theory is non-contracting: there the member
 procedure answers yes or no outright, and a yes is certified from the rule
 firings of its own saturation run, with no search at all.  Once the sweep
 has covered every algebra up to the size cap, ``decide`` computes the
@@ -31,7 +32,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass, fields
-from itertools import chain, product
+from itertools import chain
 from time import perf_counter
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -336,37 +337,49 @@ def _tile_columns(s: int, m: int) -> tuple:
     return columns
 
 
+def _tile_digits(s: int, k: int) -> int:
+    """The m low digits that vary within a tile of the sweep over k
+    variables of an algebra of size s: s**m is the largest power of s
+    within ``_TILE_EVALS``, and at most s**k."""
+    m = 0
+    while m < k and s ** (m + 1) <= _TILE_EVALS:
+        m += 1
+    return m
+
+
 def _sweep_algebra(
     algebra: FinitePomonoid,
     formulas: Sequence[Mfd],
     query: Mfd,
     variables: Sequence[str],
     limit: int,
+    *,
+    start: int = 0,
 ) -> Tuple[Optional[tuple], int]:
     """Vectorized scan of evaluations of one algebra, in lexicographic
-    order of element indices (last variable fastest).  Returns the element
-    indices of the first refuting evaluation (or None) and how many
+    order of element indices (last variable fastest), from the evaluation
+    numbered ``start`` on for at most ``limit`` evaluations.  Returns the
+    element indices of the first refuting evaluation (or None) and how many
     evaluations were swept.
 
     The evaluations are covered in tiles of s**m, the largest power of the
-    algebra size s within ``_TILE_EVALS``: the last m variables run through
-    the digit columns of ``_tile_columns``, built once per (s, m) for the
-    whole process and shared read-only by every algebra and call; the others
-    are constant per tile.  A tile the budget cuts is computed whole, its
-    hits clipped at the budget.  Products and the order are looked up in the
+    algebra size s within ``_TILE_EVALS`` (``_tile_digits``): the last m
+    variables run through the digit columns of ``_tile_columns``, built once
+    per (s, m) for the whole process and shared read-only by every algebra
+    and call; the others are constant per tile.  ``start`` resumes a sweep
+    at a tile boundary, a multiple of s**m, so a caller can step an algebra
+    one tile per call.  A tile the limit cuts is computed whole, its hits
+    clipped at the limit.  Products and the order are looked up in the
     flattened tables, ``times[x * s + y]`` and ``leq[a * s + b]``.  Powers
     are folded by repeated squaring, exact for the associative tables
     ``enumerate_pomonoids`` yields."""
     s = algebra.size
-    if s == 1:
-        return None, min(1, limit)  # its one evaluation models every formula
-    times, leq = (table.ravel() for table in algebra.np_tables())
     k = len(variables)
-    count = min(s**k, limit)
-    m = 0
-    # the digits that vary within a tile
-    while m < k and s ** (m + 1) <= _TILE_EVALS:
-        m += 1
+    end = min(s**k, start + limit)
+    if s == 1:
+        return None, end - start  # its one evaluation models every formula
+    times, leq = (table.ravel() for table in algebra.np_tables())
+    m = _tile_digits(s, k)
     tile = s**m
     low = _tile_columns(s, m)
 
@@ -383,7 +396,9 @@ def _sweep_algebra(
                     power = times[power * (s + 1)]
         return algebra.unit if acc is None else acc
 
-    for start, high in zip(range(0, count, tile), product(range(s), repeat=k - m)):
+    for first in range(start, end, tile):
+        # the base-s digits of the tile number, most significant first
+        high = [first // tile // s**p % s for p in range(k - m - 1, -1, -1)]
         columns = dict(zip(variables, (*high, *low)))
         models = np.ones(tile, dtype=bool)
         for f in formulas:
@@ -393,44 +408,57 @@ def _sweep_algebra(
         else:
             refutes = models & ~leq[degree(query.antecedent, columns) * s
                                     + degree(query.consequent, columns)]
-            hits = np.nonzero(refutes[: count - start])[0]
+            hits = np.nonzero(refutes[: end - first])[0]
             if hits.size:
-                return (*high, *(int(column[hits[0]]) for column in low)), count
-    return None, count
+                return (*high, *(int(column[hits[0]]) for column in low)), end - start
+    return None, end - start
 
 
 def _countermodel_engine(
     space: _CountVectors, theory: Theory, query: Mfd, max_size: int, budget: int
 ) -> Iterator[tuple]:
     """Scan enumerated pomonoids smallest-first for a refuting evaluation
-    of the attributes of ``space``, in its order.
+    of the attributes of ``space``, in its order, one tile of
+    ``_sweep_algebra`` per step.
 
-    Yields ("algebra", evals_used, algebras_scanned) after each swept
-    algebra, then one of ("refuted", algebra, evaluation, evals, scanned),
-    ("budget", evals, scanned) or ("exhausted", evals, scanned).
+    Yields ("tile", evals_used, algebras_scanned) after each tile that
+    leaves its algebra unfinished and ("algebra", evals_used,
+    algebras_scanned) after an algebra's last tile, so no step sweeps more
+    than ``_TILE_EVALS`` evaluations; an algebra that fits in one tile takes
+    one step.  The algebra being swept counts as scanned.  Ends with one of
+    ("refuted", algebra, evaluation, evals, scanned), ("budget", evals,
+    scanned) or ("exhausted", evals, scanned).
     """
     variables = space.names
     formulas = theory.distinct_formulas()
     evals_used = 0
     scanned = 0
     for algebra in enumerate_pomonoids(max_size):
-        remaining = budget - evals_used
-        if remaining <= 0:
+        if evals_used >= budget:
             yield ("budget", evals_used, scanned)
             return
-        hit, swept = _sweep_algebra(algebra, formulas, query, variables, remaining)
-        evals_used += swept
         scanned += 1
-        if hit is not None:
-            e = Evaluation(algebra, dict(zip(variables, hit)))
-            # independent scalar re-check of the witness
-            if not (is_model(e, theory) and not satisfies(e, query)):
-                raise AssertionError("countermodel failed independent validation")
-            yield ("refuted", algebra, e, evals_used, scanned)
-            return
-        if swept < algebra.size ** len(variables):
-            yield ("budget", evals_used, scanned)
-            return
+        total = algebra.size ** len(variables)
+        tile = algebra.size ** _tile_digits(algebra.size, len(variables))
+        done = 0
+        while True:
+            hit, swept = _sweep_algebra(algebra, formulas, query, variables,
+                                        min(tile, budget - evals_used), start=done)
+            done += swept
+            evals_used += swept
+            if hit is not None:
+                e = Evaluation(algebra, dict(zip(variables, hit)))
+                # independent scalar re-check of the witness
+                if not (is_model(e, theory) and not satisfies(e, query)):
+                    raise AssertionError("countermodel failed independent validation")
+                yield ("refuted", algebra, e, evals_used, scanned)
+                return
+            if done == total:
+                break
+            if evals_used >= budget:
+                yield ("budget", evals_used, scanned)
+                return
+            yield ("tile", evals_used, scanned)
         yield ("algebra", evals_used, scanned)
     yield ("exhausted", evals_used, scanned)
 
@@ -537,11 +565,12 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
     firings of its saturation run, with no budget and not necessarily the
     shortest path.  Otherwise the loop below interleaves the prover and the
     refuter, first hit wins, on equal shares of time: each step, one BFS
-    layer or one algebra sweep (with the basis hook after it), goes to the
-    live engine that has spent less ``perf_counter`` time so far, the BFS on
-    a tie.  The engine that does not answer spends at most the other's time
-    plus one step of its own, so ``decide`` costs at most about twice the
-    engine that answers.  When the sweep has covered every algebra up to
+    layer or one tile of the sweep, at most ``_TILE_EVALS`` evaluations
+    (with the basis hook after it), goes to the live engine that has spent
+    less ``perf_counter`` time so far, the BFS on a tie.  The engine that
+    does not answer spends at most the other's time plus one step of its
+    own, so ``decide`` costs at most about twice the engine that answers,
+    plus one tile.  When the sweep has covered every algebra up to
     ``budgets.max_algebra_size`` without a countermodel, the coverability
     basis of the consequent is computed, with at most ``_BASIS_CAP`` (64)
     vectors added; if it leaves out the antecedent, the query is refuted by
@@ -578,7 +607,7 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
             if event[0] == "refuted":
                 return Refuted(query, "countermodel", event[1], event[2])
             evals, scanned, models_done = event[1], event[2], event[0] == "exhausted"
-            if event[0] != "algebra":
+            if event[0] not in ("tile", "algebra"):
                 refuter = None
             if models_done:
                 basis = _coverability_basis(space, space.vec(query.antecedent),

@@ -441,7 +441,8 @@ def parse_theory(text: str) -> Theory:
 def format_multiset(m: AttributeMultiset) -> str:
     if m.is_top:
         return "1"
-    return " ".join(" ".join([name] * mult) for name, mult in m.items())
+    # a run of one attribute by string repetition, not one token at a time
+    return " ".join((name + " ") * (mult - 1) + name for name, mult in m.items())
 
 
 def format_mfd(f: Mfd) -> str:

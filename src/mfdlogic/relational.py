@@ -74,11 +74,20 @@ class SimilaritySpace:
     functions: Dict[str, SimilarityFn]
 
     def degree(self, attr: str, a, b):
+        """The similarity of a and b at ``attr``; over a finite algebra it
+        must be an element index, an int (numpy's too) in 0..size-1, else
+        InvalidRelationError."""
         try:
             fn = self.functions[attr]
         except KeyError:
             raise SchemeMismatchError(f"no similarity for attribute {attr!r}") from None
-        return fn(a, b)
+        d = fn(a, b)
+        if isinstance(self.algebra, FinitePomonoid) and not (
+                isinstance(d, (int, np.integer)) and 0 <= d < self.algebra.size):
+            raise InvalidRelationError(
+                f"{attr!r} has degree {d!r} for {a!r} vs {b!r}, not an element index "
+                f"of {self.algebra!r}")
+        return d
 
 
 @dataclass

@@ -621,6 +621,25 @@ class TestStreamedJson:
         assert peak < 26.5 * 2**20, peak
 
 
+class TestLongMultiplicityText:
+    """The ``--json`` document of an n-step counter proof spells every
+    multiplicity by repetition, n**2 tokens in all; its bytes are pinned."""
+
+    @pytest.mark.parametrize("n,length,digest", [
+        (150, 341723, "25202f8c9f40488226b4791023775ae3eda491f5f54feee52423010a4907c018"),
+        (800, 9101773, "108d5ed867555352eeec7178088193aa1aaceed685afa952281f502b7d1b998d"),
+    ])
+    def test_counter_document_is_pinned(self, tmp_path, n, length, digest):
+        theory = tmp_path / "counter.theory"
+        theory.write_text("a b -> b b\n")
+        query = " ".join(["a"] * n + ["b"]) + " -> " + " ".join(["b"] * (n + 1))
+        sink = _HashingSink()
+        with contextlib.redirect_stdout(sink):
+            code = main(["decide", str(theory), query, "--json"])
+        assert code == EXIT_PROVED
+        assert (sink.length, sink.digest.hexdigest()) == (length, digest)
+
+
 # ============================================================
 # Errors and the module entry point
 # ============================================================

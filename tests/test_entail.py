@@ -967,6 +967,111 @@ class TestTimeBalancedSchedule:
         assert overtaken > 0
 
 
+class TestTileGranularSchedule:
+    """A model-sweep step is one tile, at most ``_TILE_EVALS`` evaluations,
+    not a whole algebra.  With a fake clock that charges each BFS layer a
+    fixed cost and each sweep step the evaluations it swept, ``decide``
+    steps the live engine that is behind, and when the BFS proves the query
+    the sweep has spent at most the BFS's total plus one tile."""
+
+    @staticmethod
+    def charged_clock(monkeypatch, layer_cost):
+        """Patch a fake clock into ``entail`` and log each engine step as
+        (engine, cost, event kind)."""
+        now, log = [0], []
+        bfs, sweep = entail._bfs_engine, entail._countermodel_engine
+
+        def charged_bfs(*args):
+            for event in bfs(*args):
+                now[0] += layer_cost[0]
+                log.append(("bfs", layer_cost[0], event[0]))
+                yield event
+
+        def charged_sweep(*args):
+            used = 0
+            for event in sweep(*args):
+                evals = event[3] if event[0] == "refuted" else event[1]
+                now[0] += evals - used
+                log.append(("sweep", evals - used, event[0]))
+                used = evals
+                yield event
+
+        monkeypatch.setattr(entail, "perf_counter", lambda: now[0])
+        monkeypatch.setattr(entail, "_bfs_engine", charged_bfs)
+        monkeypatch.setattr(entail, "_countermodel_engine", charged_sweep)
+        return log
+
+    @pytest.mark.parametrize("tile", [1, 2, 3, 7])
+    def test_steps_are_tiles(self, monkeypatch, tile):
+        monkeypatch.setattr(entail, "_TILE_EVALS", tile)
+        layer_cost = [0]
+        log = self.charged_clock(monkeypatch, layer_cost)
+        rng = random.Random(f"tiles:{tile}")
+        names = ("a", "b", "c")
+        kinds, overtaken, tiles = Counter(), 0, 0
+        # until proofs, countermodels, invariants and Unknowns all answer
+        while len(kinds) < 4 or min(kinds.values()) < 5:
+            theory = Theory(tuple(
+                Mfd(rand_multiset(rng, names, 3), rand_multiset(rng, names, 3))
+                for _ in range(rng.randint(1, 3))
+            ))
+            if is_non_contracting_theory(theory):
+                continue
+            query = Mfd(rand_multiset(rng, names, 3), rand_multiset(rng, names, 3))
+            budgets = Budgets(rng.choice((2, 300)), rng.choice((8, 3000)), rng.randint(1, 4))
+            layer_cost[0] = rng.randint(1, 3 * tile)
+            log.clear()
+            verdict = decide(theory, query, budgets)
+            steps = list(log)
+            spent, live = {"bfs": 0, "sweep": 0}, {"bfs": True, "sweep": True}
+            for name, cost, kind in steps:
+                behind = "bfs" if spent["bfs"] <= spent["sweep"] else "sweep"
+                assert name == (behind if live["bfs"] and live["sweep"] else
+                                "bfs" if live["bfs"] else "sweep")
+                overtaken += live["bfs"] and live["sweep"] and name == "sweep"
+                if name == "sweep":
+                    assert cost <= tile
+                spent[name] += cost
+                live[name] = kind in ("layer", "tile", "algebra")
+                tiles += kind == "tile"
+            bfs = bfs_prove(theory, query, budgets.bfs_nodes)
+            *_, last = entail._countermodel_engine(
+                entail._compile(theory, query), theory, query,
+                budgets.max_algebra_size, budgets.model_evals)
+            if isinstance(verdict, Proved):
+                kinds["proved"] += 1
+                assert spent["sweep"] <= spent["bfs"] + tile
+                assert verdict == bfs
+            elif isinstance(verdict, Refuted):
+                kinds[verdict.method] += 1
+                assert not isinstance(bfs, Proved)
+                if verdict.method == "countermodel":
+                    assert last[0] == "refuted"
+                    assert last[1:3] == (verdict.algebra, verdict.evaluation)
+                else:
+                    assert last[0] == "exhausted"
+            else:
+                kinds["unknown"] += 1
+                assert isinstance(bfs, Unknown) and last[0] in ("budget", "exhausted")
+                assert verdict.report == BudgetReport(
+                    bfs.report.bfs_nodes_used, bfs.report.bfs_exhausted,
+                    last[1], last[2], last[0] == "exhausted")
+        # the sweep is stepped while the BFS is live, and mid-algebra
+        assert overtaken > 0 and tiles > 0
+
+    def test_wide_chain_is_proved_after_a_few_tiles(self, monkeypatch):
+        # 60 attributes: the size-2 algebra has 2**60 evaluations, and a
+        # sweep stepped a whole algebra at a time swept 10**6 of them, its
+        # whole budget, before the BFS took its next layer
+        log = self.charged_clock(monkeypatch, [1000])
+        chain, theory = TestWideTheories.wide_theory(60)
+        query = F(f"{chain[0]} -> {chain[-1]}")
+        verdict = decide(theory, query)
+        swept = sum(cost for name, cost, _ in log if name == "sweep")
+        assert isinstance(verdict, Proved) and verdict == bfs_prove(theory, query)
+        assert swept <= 2 * entail._TILE_EVALS + 1, swept
+
+
 class TestBudgetsContract:
     """A limit is accepted or rejected when its Budgets is built, so every
     entry point answers alike whatever the theory and query."""

@@ -420,6 +420,14 @@ class TestFormatting:
         assert str(parse_theory("b -> a\n1 -> c c")) == "b -> a\n1 -> c c\n"
         assert str(Theory(())) == ""
 
+    @given(st.dictionaries(st.sampled_from(("p", "q", "r", "attr_1")), st.integers(1, 2000),
+                           max_size=4).map(AttributeMultiset))
+    def test_long_runs_equal_the_token_join(self, m):
+        # runs are built by string repetition; the text is the one token
+        # per occurrence join, and "1" for the empty multiset
+        tokens = " ".join(a for a, c in m.items() for _ in range(c))
+        assert format_multiset(m) == (tokens or "1")
+
     @given(multisets)
     def test_multiset_round_trip(self, m):
         assert parse_multiset(format_multiset(m)) == m

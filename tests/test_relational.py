@@ -203,21 +203,37 @@ class TestSatisfiesRelation:
 
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_degrees_outside_a_finite_algebra(self, bad):
-        # the flat tables would read another entry at a degree of -1 or 2;
-        # the pair scan indexes the nested tables, as the scalar algebra does
+        # -1 would read the last element and 2 no element at all: the tiles,
+        # the pair scan and tuple_similarity all refuse both
         algebra = builtin_algebra("bool2")
         fn = lambda a, b: algebra.unit if a == b else bad
         rel = RankedRelation(("a", "b"), [("u", "x"), ("u", "y")],
                              SimilaritySpace(algebra, {"a": fn, "b": fn}))
         for f in (F("a -> b"), F("b b -> a"), F("a b -> a")):
-            if bad < 0:
-                assert TestAgainstPairScan.first_violation(rel, f) is None
-                assert satisfies_relation(rel, f) == (True, None)
-            else:
-                with pytest.raises(IndexError):
-                    TestAgainstPairScan.first_violation(rel, f)
-                with pytest.raises(IndexError):
+            with pytest.raises(InvalidRelationError, match="not an element index"):
+                TestAgainstPairScan.first_violation(rel, f)
+            with pytest.raises(InvalidRelationError, match="not an element index"):
+                satisfies_relation(rel, f)
+
+    @pytest.mark.parametrize("bad", [-1, 2, 0.0, 1.5, "1", None])
+    def test_a_violation_before_a_bad_degree_wins(self, bad):
+        # b gives 0 on x vs y and ``bad`` next to z: rows x, y, z fail a -> b
+        # at (0, 1) before the bad degree at (0, 2); rows z, x, y reach the
+        # bad degree at (0, 1) first
+        algebra = builtin_algebra("bool2")
+        zero = algebra.index_of("0")
+        same = lambda a, b: algebra.unit
+        fn = lambda a, b: algebra.unit if a == b else bad if "z" in (a, b) else zero
+        f = F("a -> b")
+        for rows, expected in ((["x", "y", "z"], (0, 1)), (["z", "x", "y"], None)):
+            rel = RankedRelation(("a", "b"), [("u", v) for v in rows],
+                                 SimilaritySpace(algebra, {"a": same, "b": fn}))
+            if expected is None:
+                with pytest.raises(InvalidRelationError, match="not an element index"):
                     satisfies_relation(rel, f)
+            else:
+                assert satisfies_relation(rel, f) == (
+                    False, RelationViolation(f, *expected, algebra.unit, zero))
 
 
 class TestAgainstPairScan:
