@@ -441,7 +441,8 @@ def parse_theory(text: str) -> Theory:
 def format_multiset(m: AttributeMultiset) -> str:
     if m.is_top:
         return "1"
-    # a run of one attribute by string repetition, not one token at a time
+    # runs by string repetition: a long certificate spells out n-fold
+    # multiplicities, O(n**2) names in all
     return " ".join((name + " ") * (mult - 1) + name for name, mult in m.items())
 
 
