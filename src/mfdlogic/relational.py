@@ -236,40 +236,60 @@ def _fold(times, unit: np.ndarray, degrees: Mapping[str, np.ndarray],
     return acc
 
 
-def _tile_failure(
-    rel: RankedRelation, f: Mfd, batched: tuple,
-    coded: Mapping[str, Tuple[np.ndarray, List, Optional[np.ndarray]]], rows: range,
-) -> Optional[Tuple[int, int]]:
-    """First pair failing ``f`` with its row in ``rows``, row-major, or None.
+def _degree_tile(
+    rel: RankedRelation, attr: str, coded: Tuple[np.ndarray, List, Optional[np.ndarray]],
+    dtype, rows: range,
+) -> Optional[np.ndarray]:
+    """The degrees of ``attr`` on the pairs with their row in ``rows``, an
+    array of ``dtype`` with one line per row; None where the similarity
+    raises or gives degrees the algebra cannot hold.
 
-    ``batched`` is :func:`_batched` of the algebra and ``coded`` holds
-    :func:`_code_column` of each attribute of ``f``, read in sorted order.
-    Each similarity is called once per distinct pair of (tile value, column
-    value), unless its ``block`` kernel computes all of them at once; the
-    tile's degrees are gathered from those by the codes.
+    ``coded`` is :func:`_code_column` of the attribute. The similarity is
+    called once per distinct pair of (tile value, column value), unless its
+    ``block`` kernel computes all of them at once; the tile is gathered from
+    those by the codes.
     """
     algebra = rel.similarity.algebra
-    dtype, times, leq = batched
-    degrees = {}
-    for attr in sorted(f.variables):
-        codes, values, floats = coded[attr]
-        fn = rel.similarity.functions[attr]
-        local: Dict[int, int] = {}
-        tile = [local.setdefault(c, len(local)) for c in codes[rows.start : rows.stop].tolist()]
+    codes, values, floats = coded
+    fn = rel.similarity.functions[attr]
+    local: Dict[int, int] = {}
+    tile = [local.setdefault(c, len(local)) for c in codes[rows.start : rows.stop].tolist()]
+    try:
         block = None if floats is None else fn.block(floats[list(local)], floats)
         if block is None:
             block = np.array([[fn(values[c], b) for b in values] for c in local])
-        if not np.can_cast(block.dtype, dtype, "safe"):
-            raise TypeError(f"{attr!r} has degrees of type {block.dtype} over {algebra!r}")
-        if dtype is np.intp and not 0 <= block.min() <= block.max() < algebra.size:
-            # the flat tables would read some other entry
-            raise IndexError(f"{attr!r} has a degree outside {algebra!r}")
-        degrees[attr] = block.astype(dtype, copy=False)[np.array(tile)[:, None], codes]
-    unit = np.full((len(rows), len(rel.tuples)), algebra.unit, dtype=dtype)
+    except Exception:
+        return None
+    if not np.can_cast(block.dtype, dtype, "safe"):
+        return None
+    if dtype is np.intp and not 0 <= block.min() <= block.max() < algebra.size:
+        return None  # the flat tables would read some other entry
+    return block.astype(dtype, copy=False)[np.array(tile)[:, None], codes]
+
+
+def _tile_failure(
+    rel: RankedRelation, f: Mfd, columns: List[Tuple[str, int]], batched: tuple,
+    degrees: Mapping[str, Optional[np.ndarray]], rows: range,
+) -> Optional[Tuple[int, int]]:
+    """First pair failing ``f`` with its row in ``rows``, row-major, or None.
+
+    ``columns`` are :func:`_columns` of the attributes of ``f`` in sorted
+    order, ``batched`` is :func:`_batched` of the algebra, and ``degrees``
+    holds the :func:`_degree_tile` of each attribute of ``f`` on these rows,
+    shared by every formula of the check. Where one is None, a value a
+    similarity cannot take or a degree the algebra cannot hold, the pair
+    scan decides whether a violation comes before the error, and raises it
+    otherwise.
+    """
+    if any(degrees[attr] is None for attr, _ in columns):
+        return _scan_failure(rel, f, columns, rows)
+    dtype, times, leq = batched
+    n = len(rel.tuples)
+    unit = np.full((len(rows), n), rel.similarity.algebra.unit, dtype=dtype)
     holds = leq(_fold(times, unit, degrees, f.antecedent), _fold(times, unit, degrees, f.consequent))
     if holds.all():
         return None
-    i, j = divmod(int(np.argmin(holds)), len(rel.tuples))
+    i, j = divmod(int(np.argmin(holds)), n)
     return rows.start + i, j
 
 
@@ -301,30 +321,61 @@ def relation_models(
     aggregated degrees: formulas in first-occurrence order, pairs row-major.
     Rows are checked in tiles of about ``_TILE_PAIRS`` pairs, so memory
     stays bounded at any size, and each column is coded once per call.
+
+    One loop over the tiles serves every formula: in each tile, each
+    attribute's degrees are computed once, and every formula still live
+    is checked on them in theory order. A formula that fails in a tile
+    drops the formulas after it, and so does one that names an attribute
+    outside the scheme, or whose tile raises; that error is raised only if
+    no earlier formula fails in a later tile. So the answer, or the error,
+    is that of a scan formula by formula, and no formula is checked twice
+    on one tile: a check does at most the work of one on a relation that
+    models the whole theory. The price is that an early formula failing
+    late lets the later formulas be checked on the tiles before its
+    violation, where a scan formula by formula stops at that violation.
     """
     batched = _batched(rel.similarity.algebra)
-    coded: dict = {}
-    n = len(rel.tuples)
-    step = max(1, _TILE_PAIRS // max(n, 1))
+    live: List[Tuple[Mfd, List[Tuple[str, int]]]] = []
+    # the first formula known not to hold, with its pair or its error
+    outcome: Optional[Tuple[Optional[Mfd], object]] = None
     for f in theory.distinct_formulas():
-        columns = _columns(rel, sorted(f.variables))
+        try:
+            live.append((f, _columns(rel, sorted(f.variables))))
+        except SchemeMismatchError as exc:
+            outcome = None, exc
+            break
+    coded: dict = {}
+    for _, columns in live:
         for attr, pos in columns:
             if attr not in coded:
                 coded[attr] = _code_column(rel, pos)
-        for start in range(0, n, step):
-            rows = range(start, min(n, start + step))
+    n = len(rel.tuples)
+    step = max(1, _TILE_PAIRS // max(n, 1))
+    for start in range(0, n, step):
+        if not live:
+            break
+        rows = range(start, min(n, start + step))
+        degrees: Dict[str, Optional[np.ndarray]] = {}
+        for k, (f, columns) in enumerate(live):
+            for attr, _ in columns:
+                if attr not in degrees:
+                    degrees[attr] = _degree_tile(rel, attr, coded[attr], batched[0], rows)
             try:
-                failure = _tile_failure(rel, f, batched, coded, rows)
-            except Exception:
-                # A value a similarity cannot take, or a degree the algebra
-                # cannot hold: the pair scan decides whether a violation comes
-                # before the error, and raises it otherwise.
-                failure = _scan_failure(rel, f, columns, rows)
+                failure = _tile_failure(rel, f, columns, batched, degrees, rows)
+            except Exception as exc:
+                failure = exc
             if failure is not None:
-                i, j = failure
-                return False, RelationViolation(f, i, j, tuple_similarity(rel, i, j, f.antecedent),
-                                                tuple_similarity(rel, i, j, f.consequent))
-    return True, None
+                outcome = f, failure
+                del live[k:]
+                break
+    if outcome is None:
+        return True, None
+    f, failure = outcome
+    if isinstance(failure, Exception):
+        raise failure
+    i, j = failure
+    return False, RelationViolation(f, i, j, tuple_similarity(rel, i, j, f.antecedent),
+                                    tuple_similarity(rel, i, j, f.consequent))
 
 
 # =====================================================================

@@ -494,6 +494,175 @@ class TestAgainstPairScan:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_memory_stays_bounded_across_formulas(self):
+        # three formulas share a and b, and c is read by one: still one
+        # tile per attribute, never an n x n matrix
+        algebra = builtin_algebra("product")
+        fn = builtin_similarity("exp_euclidean", algebra, {"c": 1})
+        rows = [(k % 10, k % 10, k % 7) for k in range(1500)]
+        rel = RankedRelation(("a", "b", "c"), rows,
+                             SimilaritySpace(algebra, {"a": fn, "b": fn, "c": fn}))
+        tracemalloc.start()
+        try:
+            assert relation_models(rel, parse_theory("a a -> b\nb -> a\na b c -> c")) == (
+                True, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestJointScan:
+    """relation_models on several formulas, which share one scan of the
+    tiles, against TestAgainstPairScan.first_violation of each formula in
+    theory order: the first one that fails or raises gives the answer."""
+
+    @staticmethod
+    def reference(rel, theory):
+        """relation_models's answer, or the exception it must raise."""
+        for f in theory.distinct_formulas():
+            try:
+                found = TestAgainstPairScan.first_violation(rel, f)
+            except (InvalidRelationError, SchemeMismatchError) as exc:
+                return exc
+            if found is not None:
+                return False, RelationViolation(f, *found)
+        return True, None
+
+    def agrees(self, rel, theory):
+        """Assert relation_models gives the reference; the outcome's kind."""
+        expected = self.reference(rel, theory)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as info:
+                relation_models(rel, theory)
+            assert str(info.value) == str(expected)
+            return type(expected).__name__
+        assert relation_models(rel, theory) == expected
+        return "holds" if expected[0] else "fails"
+
+    @staticmethod
+    def formula(rng, scheme):
+        # half the time the consequent is part of the antecedent, which holds
+        # in these integral algebras unless a similarity raises
+        ant = [a for a in scheme for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.5:
+            con = [a for a in ant if rng.random() < 0.5]
+        else:
+            con = [a for a in scheme for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.05:
+            ant.append("w")  # outside the scheme
+        return f"{' '.join(ant) or '1'} -> {' '.join(con) or '1'}"
+
+    @pytest.mark.parametrize("tile", [1, 2, 3, 7, relational._TILE_PAIRS])
+    def test_random_theories(self, monkeypatch, tile):
+        monkeypatch.setattr(relational, "_TILE_PAIRS", tile)
+        rng = random.Random(f"joint:{tile}")
+        scheme = ("a", "b", "c")
+        outcomes = Counter()
+        for _ in range(120):
+            algebra = builtin_algebra(rng.choice(["product", "min", "lukasiewicz"]))
+            exp_fn = builtin_similarity("exp_euclidean", algebra, {"c": rng.choice([-1, 0, 1])})
+            table = builtin_similarity("table", algebra, {
+                "labels": [0, 1, 2],
+                "values": [[1.0 if r == c else rng.choice([0.0, 0.5, 0.9]) for c in range(3)]
+                           for r in range(3)]})
+            functions = {"a": exp_fn, "b": table,
+                         "c": lambda x, y: 1.0 if x == y else 0.5}
+
+            def value(attr):
+                # a vector, or a value off the table, makes a similarity raise
+                if rng.random() < 0.03:
+                    return (1, 2) if attr == "a" else 7
+                return rng.choice([0, 1, 2, 2.0] if attr != "b" else [0, 1, 2])
+
+            rows = [[value(a) for a in scheme] for _ in range(rng.randint(2, 12))]
+            rel = RankedRelation(scheme, rows, SimilaritySpace(algebra, functions))
+            theory = parse_theory("\n".join(self.formula(rng, scheme)
+                                            for _ in range(rng.randint(2, 4))))
+            outcomes[self.agrees(rel, theory)] += 1
+        assert set(outcomes) == {"holds", "fails", "InvalidRelationError", "SchemeMismatchError"}
+
+    N = 100
+
+    def relation(self, bad_first_d=False):
+        # a -> b fails only at (N-2, N-1), the last tile; c -> a only at
+        # (0, 1), the first; d's similarity raises on row 0 if bad_first_d
+        n = self.N
+        algebra = builtin_algebra("product")
+        eq = builtin_similarity("equality", algebra, {"bottom": 0.5})
+        a = list(range(n - 1)) + [n - 2]
+        c = [0] + list(range(n - 1))
+        d = [(1, 2) if bad_first_d else 0] + [0] * (n - 1)
+        rows = [(a[k], k, c[k], d[k]) for k in range(n)]
+        functions = {"a": eq, "b": eq, "c": eq,
+                     "d": builtin_similarity("exp_euclidean", algebra, {"c": 0})}
+        rel = RankedRelation(("a", "b", "c", "d"), rows, SimilaritySpace(algebra, functions))
+        assert len(range(0, n, relational._TILE_PAIRS // n)) >= 3
+        return rel
+
+    def test_a_later_tile_of_the_first_formula_wins(self):
+        rel = self.relation()
+        ok, v = relation_models(rel, parse_theory("a -> b\nc -> a"))
+        assert (ok, v.formula, v.i, v.j) == (False, F("a -> b"), self.N - 2, self.N - 1)
+        assert self.agrees(rel, parse_theory("a -> b\nc -> a")) == "fails"
+        ok, v = relation_models(rel, parse_theory("c -> a\na -> b"))
+        assert (v.formula, v.i, v.j) == (F("c -> a"), 0, 1)
+
+    def test_a_violation_beats_a_later_formulas_earlier_error(self):
+        rel = self.relation(bad_first_d=True)
+        with pytest.raises(InvalidRelationError):
+            satisfies_relation(rel, F("d -> a"))
+        theory = parse_theory("a -> b\nd -> a")
+        ok, v = relation_models(rel, theory)
+        assert (ok, v.formula, v.i, v.j) == (False, F("a -> b"), self.N - 2, self.N - 1)
+        assert self.agrees(rel, theory) == "fails"
+        assert self.agrees(rel, parse_theory("a -> a\nd -> a")) == "InvalidRelationError"
+
+    def test_a_formula_outside_the_scheme(self):
+        rel = self.relation()
+        ok, v = relation_models(rel, parse_theory("a -> b\nw -> a\nc -> a"))
+        assert (ok, v.formula, v.i, v.j) == (False, F("a -> b"), self.N - 2, self.N - 1)
+        with pytest.raises(SchemeMismatchError, match="w"):
+            relation_models(rel, parse_theory("a -> a\nw -> a\nc -> a"))
+
+    def test_a_theory_that_holds(self):
+        rel = self.relation()
+        theory = parse_theory("a -> a\nb c -> b\nb -> a\na b c d -> d")
+        assert self.agrees(rel, theory) == "holds"
+
+    @pytest.mark.parametrize("kernel", [True, False], ids=["block", "callable"])
+    def test_each_attribute_tile_is_computed_once(self, kernel):
+        # three holding formulas read x: its block kernel runs once per
+        # tile, and a plain callable once per distinct pair of (tile value,
+        # column value) per tile
+        n = 100
+        algebra = builtin_algebra("product")
+        exp_fn = builtin_similarity("exp_euclidean", algebra, {"c": 0})
+        calls = []
+        if kernel:
+            block = exp_fn.block
+
+            def x_fn(a, b):
+                return exp_fn(a, b)
+
+            x_fn.block = lambda lefts, rights: calls.append(len(lefts)) or block(lefts, rights)
+        else:
+            def x_fn(a, b):
+                calls.append(1)
+                return exp_fn(a, b)
+        rows = [(k % 13, k % 5) for k in range(n)]
+        rel = RankedRelation(("x", "y"), rows,
+                             SimilaritySpace(algebra, {"x": x_fn, "y": exp_fn}))
+        theory = parse_theory("x -> x\nx x -> x\nx y -> y")
+        assert relation_models(rel, theory) == (True, None)
+        step = relational._TILE_PAIRS // n
+        tiles = [range(start, min(n, start + step)) for start in range(0, n, step)]
+        assert len(tiles) >= 3
+        if kernel:
+            assert len(calls) == len(tiles)
+        else:
+            assert len(calls) == sum(len({rows[i][0] for i in t}) * 13 for t in tiles)
+
 
 # ============================================================
 # Bridges to evaluations
