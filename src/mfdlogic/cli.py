@@ -24,17 +24,20 @@ import dataclasses
 import functools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import algebra as alg
 from . import entail, proofs, relational
 from .member import ContractingTheoryError, member_trace
 from .formula import (
+    AttributeMultiset,
+    Mfd,
     MultiplicityOverflowError,
     TheoryParseError,
     Theory,
     _IDENT_RE,
     _RESERVED,
+    _format_runs,
     booleanize,
     format_mfd,
     format_multiset,
@@ -224,14 +227,75 @@ def _read_theory(path: str) -> Theory:
 
 def _print_json(doc) -> None:
     """Print ``doc`` as ``json.dumps(doc, indent=2)`` would, streamed to
-    stdout: the document is never one string, but a certificate in it is,
-    and ``json.dump`` copies that string, escaped, as it writes it."""
+    stdout: the document is never one string."""
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
+# how many multisets _json_texts keeps the text of: a certificate step
+# names its rule's two sides, the unit, the state before, its result and
+# the path's start
+_RECENT_TEXTS = 8
+
+
+def _json_texts() -> Callable[[AttributeMultiset], str]:
+    """``format_multiset`` as a JSON string body, ``json.dumps(text)[1:-1]``.
+
+    JSON escapes a string character by character, so the escaped text is
+    the runs of the escaped names.  Each name is escaped once, and the text
+    of each of the last few multisets asked for is kept by identity, so a
+    multiset that a stretch of output names again is spelled once there.
+    """
+    names = {}
+    recent = {}  # id -> (multiset, text), least recently asked first
+
+    def escaped(name: str) -> str:
+        text = names.get(name)
+        if text is None:
+            text = names[name] = json.dumps(name)[1:-1]
+        return text
+
+    def multiset_text(m: AttributeMultiset) -> str:
+        # holding the multiset keeps its id from passing to another object
+        hit = recent.pop(id(m), None)
+        if hit is None:
+            hit = (m, _format_runs((escaped(name), mult) for name, mult in m.items()))
+            if len(recent) == _RECENT_TEXTS:
+                del recent[next(iter(recent))]
+        recent[id(m)] = hit
+        return hit[1]
+
+    return multiset_text
+
+
+def _print_proved_json(v: entail.Proved) -> None:
+    """Print ``json.dumps(verdict_to_json(v), indent=2)`` and a newline,
+    piece by piece: no path text and no certificate is ever one string,
+    and the certificate goes out escaped as ``proofs._write_proof`` spells
+    it, each multiset's text shared by the nodes and steps that name it."""
+    write = sys.stdout.write
+    text = _json_texts()
+
+    def formula(f: Mfd) -> str:
+        return f"{text(f.antecedent)} -> {text(f.consequent)}"
+
+    write(f'{{\n  "verdict": "proved",\n  "query": "{formula(v.query)}",\n  "path": {{\n'
+          f'    "start": "{text(v.path.start)}",\n    "steps": [')
+    separator = "\n"
+    for s in v.path.steps:
+        write(f'{separator}      {{\n        "rule": "{formula(s.rule)}",\n'
+              f'        "remainder": "{text(s.remainder)}",\n'
+              f'        "result": "{text(s.result)}"\n      }}')
+        separator = ",\n"
+    write(('\n    ]' if v.path.steps else ']') + '\n  },\n  "certificate": "')
+    proofs._write_proof(v.certificate, write, text, '\\"')
+    write('"\n}\n')
+
+
 def _print_verdict(v: entail.Verdict, as_json: bool) -> int:
-    if as_json:
+    if as_json and isinstance(v, entail.Proved):
+        _print_proved_json(v)
+    elif as_json:
         _print_json(verdict_to_json(v))
     elif isinstance(v, entail.Proved):
         print(f"proved: {format_mfd(v.query)}")

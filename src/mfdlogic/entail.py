@@ -48,23 +48,28 @@ from .algebra import (
     satisfies,
 )
 from .formula import (
+    TOP,
     AttributeMultiset,
     Mfd,
     Theory,
     _CountVectors,
     _pack,
     divides,
+    format_mfd,
+    format_multiset,
     is_non_contracting_theory,
 )
 from .member import member, member_trace
 from .proofs import (
+    AxInstance,
+    Cut,
     Hyp,
+    ProofError,
     ProofTree,
     check_invariant,
     check_proof,
     derive_pro,
     derive_ref,
-    derive_rwt,
 )
 
 __all__ = [
@@ -282,11 +287,23 @@ def certificate_from_path(query: Mfd, path: RewritePath) -> ProofTree:
 
     Start from A -> A, rewrite the consequent along each step using the
     fired rule as hypothesis, and finally project down to the query
-    consequent.
+    consequent.  Each step's two cuts are ``derive_rwt``'s, built from the
+    path's own multisets (the state before the step and its result), so
+    the tree shares them with the path.  A step whose rule does not take
+    the state before it to its result raises :class:`ProofError`.
     """
-    tree = derive_ref(path.start)
+    start = before = path.start
+    tree = derive_ref(start)
     for step in path.steps:
-        tree = derive_rwt(tree, Hyp(step.rule))
+        rule, after = step.rule, step.result
+        rest = divides(rule.antecedent, before)
+        if rest is None or rule.consequent.union(rest) != after:
+            raise ProofError(f"step {format_mfd(rule)} does not rewrite "
+                             f"{format_multiset(before)} to {format_multiset(after)}")
+        # the rule augmented by the rest, then chained after the tree so far
+        augmented = Cut(Hyp(rule), AxInstance(TOP, after), Mfd(before, after))
+        tree = Cut(tree, augmented, Mfd(start, after))
+        before = after
     return derive_pro(tree, query.consequent)
 
 

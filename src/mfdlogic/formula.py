@@ -439,11 +439,15 @@ def parse_theory(text: str) -> Theory:
 
 
 def format_multiset(m: AttributeMultiset) -> str:
-    if m.is_top:
-        return "1"
+    return _format_runs(m.items())
+
+
+def _format_runs(items: Iterable[Tuple[str, int]]) -> str:
+    """The text of (name, multiplicity) pairs in the theory grammar, "1"
+    for none."""
     # runs by string repetition: a long certificate spells out n-fold
     # multiplicities, O(n**2) names in all
-    return " ".join((name + " ") * (mult - 1) + name for name, mult in m.items())
+    return " ".join((name + " ") * (mult - 1) + name for name, mult in items) or "1"
 
 
 def format_mfd(f: Mfd) -> str:

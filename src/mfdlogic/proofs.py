@@ -124,8 +124,10 @@ class Cut:
         return parts[id(self)]
 
     def __repr__(self) -> str:
-        return _render(self, repr, lambda cut: f"{cut.__class__.__qualname__}(left=",
-                       ", right=", lambda cut: f", conclusion={cut.conclusion!r})")
+        pieces = []
+        _render(self, pieces.append, repr, lambda cut: f"{cut.__class__.__qualname__}(left=",
+                ", right=", lambda cut: f", conclusion={cut.conclusion!r})")
+        return "".join(pieces)
 
 
 ProofTree = Union[Hyp, AxInstance, Cut]
@@ -148,22 +150,24 @@ def _premises_first(tree: ProofTree) -> List[ProofTree]:
     return order
 
 
-def _render(tree: ProofTree, leaf, head, middle: str, tail) -> str:
-    """The text of the unfolded tree: ``leaf(node)`` for a leaf, and
-    ``head(cut)``, the left premise, ``middle``, the right premise and
-    ``tail(cut)`` for a cut."""
-    # (text, None) is a literal piece, (None, node) a node still to print
-    pieces, stack = [], [(None, tree)]
+def _render(tree: ProofTree, sink, leaf, head, middle: str, tail) -> None:
+    """Send the text of the unfolded tree to ``sink`` piece by piece:
+    ``leaf(node)`` for a leaf, and ``head(cut)``, the left premise,
+    ``middle``, the right premise and ``tail(cut)`` for a cut.  Each piece
+    is made when it is sent, so no more than one is held at a time."""
+    # (0, node) is a node to print, (1, cut) and (2, cut) its middle and tail
+    stack = [(0, tree)]
     while stack:
-        text, node = stack.pop()
-        if text is not None:
-            pieces.append(text)
+        stage, node = stack.pop()
+        if stage == 1:
+            sink(middle)
+        elif stage == 2:
+            sink(tail(node))
         elif isinstance(node, Cut):
-            pieces.append(head(node))
-            stack += [(tail(node), None), (None, node.right), (middle, None), (None, node.left)]
+            sink(head(node))
+            stack += [(2, node), (0, node.right), (1, node), (0, node.left)]
         else:
-            pieces.append(leaf(node))
-    return "".join(pieces)
+            sink(leaf(node))
 
 
 def check_proof(tree: ProofTree, theory: Theory) -> Mfd:
@@ -314,17 +318,33 @@ def derive_weak_additivity(p1: ProofTree, p2: ProofTree) -> ProofTree:
 # as "1".
 
 
-def _leaf_text(node: ProofTree) -> str:
-    if isinstance(node, Hyp):
-        return f'(hyp "{format_mfd(node.formula)}")'
-    if isinstance(node, AxInstance):
-        return f'(ax "{format_multiset(node.left)}" "{format_multiset(node.right)}")'
-    raise ProofError(f"not a proof node: {node!r}")
+def _write_proof(tree: ProofTree, sink, multiset_text, quote: str) -> None:
+    """Send the certificate text of ``tree`` to ``sink`` piece by piece,
+    each multiset spelled ``multiset_text(m)`` and each quote mark as
+    ``quote``.  With JSON-escaped multisets and ``\\"`` the pieces make
+    the certificate's JSON string, without the certificate ever being
+    one string."""
+
+    def quoted(m: AttributeMultiset) -> str:
+        return f"{quote}{multiset_text(m)}{quote}"
+
+    def formula(f: Mfd) -> str:
+        return f"{quote}{multiset_text(f.antecedent)} -> {multiset_text(f.consequent)}{quote}"
+
+    def leaf(node: ProofTree) -> str:
+        if isinstance(node, Hyp):
+            return f"(hyp {formula(node.formula)})"
+        if isinstance(node, AxInstance):
+            return f"(ax {quoted(node.left)} {quoted(node.right)})"
+        raise ProofError(f"not a proof node: {node!r}")
+
+    _render(tree, sink, leaf, lambda cut: "(cut ", " ", lambda cut: f" {formula(cut.conclusion)})")
 
 
 def format_proof(tree: ProofTree) -> str:
-    return _render(tree, _leaf_text, lambda cut: "(cut ", " ",
-                   lambda cut: f' "{format_mfd(cut.conclusion)}")')
+    pieces = []
+    _write_proof(tree, pieces.append, format_multiset, '"')
+    return "".join(pieces)
 
 
 _TOKEN_RE = re.compile(r'\(\s*([a-z]*)|"([^"]*)"|\)|[a-z]+')

@@ -437,6 +437,18 @@ def _is_degree(v) -> bool:
     return type(v) in (int, float) and 0 <= v <= 1
 
 
+def _scaled_distance(diffs: Sequence[float]) -> float:
+    """The Euclidean length of ``diffs`` when their squares overflow: the
+    largest |d| times the length of ``diffs`` divided by it, the squares
+    summed left to right; infinite if a difference or the length is."""
+    top = max(map(abs, diffs))
+    total = 0.0
+    for d in diffs:
+        q = d / top
+        total += q * q
+    return top * math.sqrt(total)
+
+
 def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> SimilarityFn:
     """Construct one of the stock similarity functions.
 
@@ -445,8 +457,10 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
       degrees land in (0, 1] and suit the unit-interval algebras.  The
       distance is float64 arithmetic on ``float()`` of each number: the
       squares ``d * d`` are summed left to right, then ``math.sqrt``, so a
-      degree is the same on every Python version; a distance that is not
-      finite (a difference or a sum of squares beyond float range) is out
+      degree is the same on every Python version.  Where that sum of
+      squares overflows, the differences are divided by the largest |d|
+      first and the length multiplied by it after.  A distance that is not
+      finite (a difference or the scaled length beyond float range) is out
       of range, for scalars and vectors alike.  The function carries a
       ``block(lefts, rights)`` kernel, which the relation check calls on
       two :func:`_float_column` arrays: the degrees of every pair of rows,
@@ -484,6 +498,8 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
                         d = float(x) - float(y)
                         total += d * d
                     dist = math.sqrt(total)
+                    if dist == math.inf:
+                        dist = _scaled_distance([float(x) - float(y) for x, y in zip(a, b)])
                 if not math.isfinite(dist):
                     raise OverflowError
                 return math.exp(-scale * dist)
@@ -569,10 +585,14 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
 
 
 def _coerce_value(value, domain: Optional[str], attr: str):
+    """``value`` as a tuple entry of ``attr``; raises InvalidRelationError
+    on a value outside the domain or a number in it that is not finite."""
     if domain is None:
+        if not _finite(value):
+            raise InvalidRelationError(f"attribute {attr!r} holds a number that is not finite")
         return tuple(value) if isinstance(value, list) else value
     if domain == "scalar":
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise InvalidRelationError(f"attribute {attr!r} expects a scalar, got {value!r}")
         return value
     if domain == "token":
@@ -587,7 +607,7 @@ def _coerce_value(value, domain: Optional[str], attr: str):
         if (
             not isinstance(value, (list, tuple))
             or len(value) != width
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+            or not all(map(_is_number, value))
         ):
             raise InvalidRelationError(
                 f"attribute {attr!r} expects a {width}-vector, got {value!r}"
@@ -609,6 +629,13 @@ def _finite(value) -> bool:
     if isinstance(value, (list, tuple)):
         return all(map(_finite, value))
     return not isinstance(value, float) or math.isfinite(value)
+
+
+def _is_number(value) -> bool:
+    """A finite int or float, not a bool: a scalar or vector entry."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def relation_from_json(doc: Mapping) -> RankedRelation:
@@ -647,15 +674,23 @@ def relation_from_json(doc: Mapping) -> RankedRelation:
         tuples = []
         for row in rows:
             row = _json_list(row, "a row")
-            if not _finite(row):
-                raise InvalidRelationError(f"row {row!r} holds a number that is not finite")
-            if len(row) != len(scheme):
-                raise InvalidRelationError(
-                    f"row {row!r} has {len(row)} values for {len(scheme)} attributes"
-                )
-            tuples.append(tuple(
-                _coerce_value(value, domains.get(attr), attr) for attr, value in zip(scheme, row)
-            ))
+            # one walk over each value coerces it and tests it finite; a
+            # number that is not finite anywhere in a refused row is the
+            # error reported, before its length or any value's domain
+            try:
+                if len(row) != len(scheme):
+                    raise InvalidRelationError(
+                        f"row {row!r} has {len(row)} values for {len(scheme)} attributes"
+                    )
+                tuples.append(tuple(
+                    _coerce_value(value, domains.get(attr), attr)
+                    for attr, value in zip(scheme, row)
+                ))
+            except InvalidRelationError:
+                if not _finite(row):
+                    raise InvalidRelationError(
+                        f"row {row!r} holds a number that is not finite") from None
+                raise
     except (InvalidAlgebraError, InvalidRelationError, SchemeMismatchError):
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

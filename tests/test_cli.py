@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -11,12 +12,14 @@ import tracemalloc
 
 import pytest
 
-from mfdlogic import formula
+from mfdlogic import cli, formula
 from mfdlogic import (
+    AttributeMultiset,
     Budgets,
     Mfd,
     Proved,
     Refuted,
+    Theory,
     Unknown,
     algebra_from_json,
     algebra_to_json,
@@ -290,6 +293,23 @@ class TestCheck:
             "models: no\n"
             "violation: price -> loc at tuples (0, 1): 0.8521 <= 0.7524 fails\n"
         )
+
+    def test_vectors_whose_squares_overflow(self, run, tmp_path):
+        # (2e200)**2 is beyond float range, the distance 2e200 is not
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps({
+            "algebra": "product", "scheme": ["a"], "tuples": [[[1e200, 0]], [[-1e200, 0]]],
+            "similarity": {"a": {"kind": "exp_euclidean", "c": 200}},
+        }))
+        theory = tmp_path / "a.theory"
+        theory.write_text("a -> a a\n")
+        code, out, _ = run("check", str(rel), str(theory), "--json")
+        degree = math.exp(-(10.0 ** -200) * 2e200)
+        assert code == EXIT_REFUTED
+        assert json.loads(out)["violation"] == {
+            "formula": "a -> a a", "pair": [0, 1],
+            "antecedent_degree": degree, "consequent_degree": degree * degree,
+        }
 
     def test_extended_relation_violates(self, run, data_dir):
         code, out, _ = run(
@@ -571,7 +591,22 @@ class TestStreamedJson:
 
     LIMITS = ("--budget-models", "20000", "--max-size", "3")
 
-    def commands(self, data_dir):
+    # long proofs: a ~300-step counter, a chain among distractor rules on
+    # 40 attributes, and a non-contracting growth chain (member's path)
+    LONG_PROOFS = {
+        "counter": ("a b -> b b\n", " ".join(["a"] * 300 + ["b"]) + " -> b" + " b" * 300),
+        "wide": ("".join(f"w{k} -> w{k + 1}\n" for k in range(15))
+                 + "".join(f"w{16 + k} w{16 + (k + 1) % 24} -> w{16 + (k + 2) % 24}\n"
+                           for k in range(24)), "w0 -> w15"),
+        "growth": ("".join(f"g{k} -> g{k} g{k + 1}\ng{k} -> g{k} s{k % 6}\n" for k in range(40)),
+                   "g0 -> g40"),
+    }
+
+    def commands(self, data_dir, tmp_path):
+        for name, (text, query) in self.LONG_PROOFS.items():
+            path = tmp_path / f"{name}.theory"
+            path.write_text(text)
+            yield ("decide", str(path), query, "--budget-bfs", "2000", *self.LIMITS)
         for path in sorted(data_dir.glob("*.theory")):
             theory = parse_theory(path.read_text())
             for f in theory.distinct_formulas():
@@ -585,9 +620,10 @@ class TestStreamedJson:
         for algebra in ("bool2", str(data_dir / "nonlinear_pomonoid.json")):
             yield ("complete-algebra", algebra)
 
-    def test_bytes_equal_json_dumps(self, run, data_dir):
+    def test_bytes_equal_json_dumps(self, run, data_dir, tmp_path):
         printed = 0
-        for argv in self.commands(data_dir):
+        long_steps = []
+        for argv in self.commands(data_dir, tmp_path):
             code, out, _ = run(*argv, "--json")
             if not out:  # refused before any output, e.g. member on a contracting theory
                 continue
@@ -597,7 +633,26 @@ class TestStreamedJson:
                 theory = parse_theory(pathlib.Path(argv[1]).read_text())
                 verdict = decide(theory, parse_mfd(argv[2]), Budgets(2000, 20000, 3))
                 assert out == json.dumps(verdict_to_json(verdict), indent=2) + "\n", argv
+                if pathlib.Path(argv[1]).parent == tmp_path:
+                    assert code == EXIT_PROVED, argv
+                    long_steps.append(len(verdict.path))
         assert printed >= 40, printed
+        assert long_steps == [300, 15, 40], long_steps
+
+    def test_names_that_json_escapes(self, capsys):
+        # a quote, a backslash, a control character, non-ASCII text and a
+        # name beyond the BMP (a surrogate pair in JSON), some of them repeated
+        q, b, c, u, s = 'q"1', "b\\2", "c\x013", "\u00fc\u00f1\u00ef", "\U0001d538"
+        runs = [(q, 2), (b, 3), (c, 1), (u, 2), (s, 1)]
+        theory = Theory([Mfd(AttributeMultiset({q: 1, b: 1}), AttributeMultiset({b: 2, u: 1})),
+                         Mfd(AttributeMultiset({u: 1}), AttributeMultiset({s: 1, c: 1}))])
+        query = Mfd(AttributeMultiset(runs[:2]), AttributeMultiset({b: 3, s: 2, c: 1}))
+        verdict = decide(theory, query)
+        assert isinstance(verdict, Proved) and len(verdict.path) >= 3
+        text = json.dumps(verdict_to_json(verdict), indent=2) + "\n"
+        assert all(json.dumps(name)[1:-1] in text for name, _ in runs)
+        cli._print_proved_json(verdict)
+        assert capsys.readouterr().out == text
 
     def test_long_certificate_is_not_held_whole(self, tmp_path):
         n = 800
@@ -617,8 +672,8 @@ class TestStreamedJson:
         text = json.dumps(verdict_to_json(verdict), indent=2) + "\n"
         assert (sink.length, sink.digest.hexdigest()) == (
             len(text), hashlib.sha256(text.encode()).hexdigest())
-        # a 9.1 MB document: about 24 MB streamed, 29.4 MB printed from json.dumps
-        assert peak < 26.5 * 2**20, peak
+        # a 9.1 MB document: about 2.2 MiB streamed, 29.4 MB printed from json.dumps
+        assert peak < 2.5 * 2**20, peak
 
 
 class TestLongMultiplicityText:
@@ -716,8 +771,8 @@ class TestErrors:
              [["u"], ["w"]]),
             ({"kind": "exp_euclidean", "c": 1}, [[[1, 2]], [[1, 2, 3]]]),
             ({"kind": "exp_euclidean", "c": 1}, [[1], [[1, 2]]]),
-            # the squared distance overflows
-            ({"kind": "exp_euclidean", "c": 1}, [[[1e200, 0]], [[-1e200, 0]]]),
+            # the distance overflows, though each difference is within range
+            ({"kind": "exp_euclidean", "c": 1}, [[[1.5e308, 1.5e308]], [[0, 0]]]),
             # the distance overflows and 10^-400 underflows: the degree was NaN
             ({"kind": "exp_euclidean", "c": 400}, [[1e308], [-1e308]]),
         ],

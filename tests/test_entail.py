@@ -45,8 +45,9 @@ from mfdlogic import (
     rewrite_successors,
     satisfies,
 )
-from mfdlogic import entail, formula
+from mfdlogic import entail, formula, proofs
 from mfdlogic.cli import verdict_from_json, verdict_to_json
+from mfdlogic.proofs import Cut, Hyp, derive_pro, derive_ref, derive_rwt
 from mfdlogic.formula import MultiplicityOverflowError
 from mfdlogic.member import member_trace
 
@@ -314,6 +315,33 @@ class TestCertificateFromPath:
         path = RewritePath(M("p"), ())
         with pytest.raises(ProofError):
             certificate_from_path(F("p -> q"), path)
+
+    @pytest.mark.parametrize("rule,remainder,result", [
+        ("q -> r", "1", "r"),  # the rule does not fit the state before
+        ("p -> q", "1", "r"),  # it fits, but rewrites to another result
+        ("p -> q", "1", "q q"),
+    ])
+    def test_rejects_a_step_that_does_not_chain(self, rule, remainder, result):
+        step = RewriteStep(F(rule), M(remainder), M(result))
+        path = RewritePath(M("p s"), (RewriteStep(F("s -> 1"), M("p"), M("p")), step))
+        with pytest.raises(ProofError, match="does not rewrite p to"):
+            certificate_from_path(F(f"p s -> {result}"), path)
+
+    def test_tree_is_the_derived_rules_tree(self, no_accumulation):
+        # the same tree as folding derive_rwt over the path, whose multisets
+        # it holds itself
+        for query in (F("p -> q s t"), F("p p -> q"), F("p -> p")):
+            path = bfs_prove(no_accumulation, query).path
+            tree = derive_ref(path.start)
+            for step in path.steps:
+                tree = derive_rwt(tree, Hyp(step.rule))
+            cert = certificate_from_path(query, path)
+            assert cert == derive_pro(tree, query.consequent)
+            states = {id(path.start)} | {id(step.result) for step in path.steps}
+            for node in proofs._premises_first(cert):
+                if isinstance(node, Cut) and node.right.__class__ is Cut:
+                    assert {id(node.conclusion.consequent),
+                            id(node.right.conclusion.antecedent)} <= states
 
 
 # ============================================================

@@ -383,17 +383,20 @@ class TestAgainstPairScan:
 
     def test_overflowing_squares_take_the_pair_path(self):
         # 2e200 squared is beyond float range: the kernel declines the tile,
-        # without a numpy warning, and the pair scan raises exp_fn's error
+        # without a numpy warning, and the pair scan takes exp_fn's degree
+        # of the scaled distance, 2e200
         algebra = builtin_algebra("product")
-        fn = builtin_similarity("exp_euclidean", algebra, {"c": 0})
+        fn = builtin_similarity("exp_euclidean", algebra, {"c": 200})
         rel = RankedRelation(("v",), [((1e200, 0),), ((-1e200, 0),)],
                              SimilaritySpace(algebra, {"v": fn}))
         floats = relational._code_column(rel, 0)[2]
+        degree = math.exp(-(10.0 ** -200) * 2e200)
+        assert 0 < degree < 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert fn.block(floats, floats) is None
-            with pytest.raises(InvalidRelationError, match="within float range"):
-                satisfies_relation(rel, F("v -> v v"))
+            assert satisfies_relation(rel, F("v -> v v")) == (
+                False, RelationViolation(F("v -> v v"), 0, 1, degree, degree * degree))
 
     def test_lambda_similarity(self):
         rng = random.Random("pairs:lambda")
@@ -762,10 +765,21 @@ class TestBuiltinSimilarity:
         # |1e308 - -1e308| overflows: the degree used to be 0.0, or NaN
         # once 10^-c underflows to 0.0
         fn = builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": c})
-        for a, b in ((1e308, -1e308), ((1e308, 0), (-1e308, 5)), ((1e200, 0), (-1e200, 0))):
+        # the last length is 1.5e308 * sqrt(2), beyond float range however scaled
+        for a, b in ((1e308, -1e308), ((1e308, 0), (-1e308, 5)), ((1.5e308, 1.5e308), (0, 0))):
             with pytest.raises(InvalidRelationError, match="within float range"):
                 fn(a, b)
         assert fn(1e308, 1e308) == 1.0
+
+    @pytest.mark.parametrize("c", [0, 2, 200])
+    def test_exp_euclidean_overflowing_squares_get_a_degree(self, c):
+        # (2e200)**2 overflows, the distance 2e200 does not: it is computed
+        # scaled by the largest difference, which gives it exactly here
+        fn = builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": c})
+        scale = 10.0 ** -c
+        assert fn((1e200, 0), (-1e200, 0)) == math.exp(-scale * 2e200)
+        assert fn((1e200, 0, 1.0), (-1e200, 0, 1)) == math.exp(-scale * 2e200)
+        assert fn((3e200, 4e200), (0, 0)) == pytest.approx(math.exp(-scale * 5e200), rel=1e-14)
 
     def test_exp_euclidean_needs_real_degrees(self):
         with pytest.raises(InvalidRelationError):
@@ -1004,6 +1018,32 @@ class TestFileFormat:
         doc["tuples"][1][0] = value
         with pytest.raises(InvalidRelationError, match="not finite"):
             relation_from_json(doc)
+
+    @pytest.mark.parametrize("domains,row,message", [
+        ({"b": "vector2"}, [1, [1.0, math.nan]], "row [1, [1.0, nan]] holds a number that is not finite"),
+        ({}, [1, [[math.inf]]], "row [1, [[inf]]] holds a number that is not finite"),
+        ({"a": "token"}, [-math.inf, 1], "row [-inf, 1] holds a number that is not finite"),
+        # a number that is not finite is named before any other fault of its row
+        ({"a": "scalar"}, [True, math.nan], "row [True, nan] holds a number that is not finite"),
+        ({}, [math.nan], "row [nan] holds a number that is not finite"),
+        ({"a": "scalar"}, [True, 1], "attribute 'a' expects a scalar, got True"),
+        ({"b": "vector2"}, [1, [1, 2, 3]], "attribute 'b' expects a 2-vector, got [1, 2, 3]"),
+        ({"b": "vector2"}, [1, [True, 2]], "attribute 'b' expects a 2-vector, got [True, 2]"),
+        ({}, [1, 2, 3], "row [1, 2, 3] has 3 values for 2 attributes"),
+    ])
+    def test_row_errors_name_the_row(self, domains, row, message):
+        doc = self.base_doc()
+        doc["domains"] = domains
+        doc["tuples"].insert(0, row)
+        with pytest.raises(InvalidRelationError) as caught:
+            relation_from_json(doc)
+        assert str(caught.value) == message
+
+    def test_ragged_vectors_load_without_a_domain(self):
+        doc = self.base_doc()
+        doc["domains"] = {}
+        doc["tuples"] = [[1, [1.0]], [2, [1.0, 2.0]], [3, (0.5, 1, 2)]]
+        assert relation_from_json(doc).tuples == ((1, (1.0,)), (2, (1.0, 2.0)), (3, (0.5, 1, 2)))
 
     def test_load_relation_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
