@@ -23,8 +23,8 @@ import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .formula import AttributeMultiset, Mfd, Theory
 
@@ -100,16 +100,23 @@ class InvalidAlgebraError(ValueError):
 # =====================================================================
 
 
-def _square(label: str, table: Sequence[Sequence[int]], n: int) -> Tuple[Tuple[int, ...], ...]:
-    """``table`` as an n x n tuple of element indices, each in range."""
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+def _square(label: str, table, n: int, entry=int) -> Tuple[tuple, ...]:
+    """``table`` as an n x n tuple of ``entry`` values; for an index table
+    (the default ``entry``), each an element index in range."""
+    rows = tuple(tuple(entry(v) for v in row) for row in table)
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"{label} table must be {n}x{n}")
-    if any(not (0 <= v < n) for row in rows for v in row):
+    if entry is int and any(not (0 <= v < n) for row in rows for v in row):
         raise ValueError(f"{label} table entry out of range")
     return rows
 
 
+# Enumerated algebras are shared, so algebras are frozen; they have no slots
+# for the reason given above formula.Mfd.  Copies and pickles rebuild through
+# __reduce__, so they pass __post_init__'s checks and drop the numpy tables.
+
+
+@dataclass(frozen=True, repr=False)
 class FinitePomonoid:
     """An integral commutative pomonoid on elements 0..size-1.
 
@@ -119,46 +126,28 @@ class FinitePomonoid:
     index ranges; axiom checking is the job of :func:`validate`.
     """
 
-    __slots__ = ("element_names", "unit", "leq_table", "times_table", "_np")
+    element_names: Sequence[str]
+    unit: int
+    leq_table: Sequence[Sequence[bool]]
+    times_table: Sequence[Sequence[int]]
+    _np: Optional[tuple] = field(default=None, init=False, compare=False)
 
-    def __init__(
-        self,
-        element_names: Sequence[str],
-        unit: int,
-        leq_table: Sequence[Sequence[bool]],
-        times_table: Sequence[Sequence[int]],
-    ):
-        names = tuple(str(x) for x in element_names)
+    def __post_init__(self) -> None:
+        names = tuple(str(x) for x in self.element_names)
         n = len(names)
         if n == 0:
             raise ValueError("algebra needs at least one element")
         if len(set(names)) != n:
             raise ValueError("element names must be distinct")
-        if not (0 <= unit < n):
-            raise ValueError(f"unit index {unit} out of range")
-        self.leq_table = tuple(tuple(bool(v) for v in row) for row in leq_table)
-        if len(self.leq_table) != n or any(len(row) != n for row in self.leq_table):
-            raise ValueError(f"leq table must be {n}x{n}")
-        self.element_names = names
-        self.unit = int(unit)
-        self.times_table = _square("times", times_table, n)
-        self._np = None
-
-    def __setattr__(self, name: str, value) -> None:
-        # enumerated algebras are shared, so a slot is set once; copies and
-        # pickles rebuild through __init__ (see __reduce__)
-        if hasattr(self, name):
-            raise AttributeError(f"{type(self).__name__}.{name} cannot be reassigned")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__}.{name} cannot be deleted")
-
-    def _fields(self) -> tuple:
-        return self.element_names, self.unit, self.leq_table, self.times_table
+        if not (0 <= self.unit < n):
+            raise ValueError(f"unit index {self.unit} out of range")
+        object.__setattr__(self, "element_names", names)
+        object.__setattr__(self, "unit", int(self.unit))
+        object.__setattr__(self, "leq_table", _square("leq", self.leq_table, n, bool))
+        object.__setattr__(self, "times_table", _square("times", self.times_table, n))
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     @property
     def size(self) -> int:
@@ -206,16 +195,8 @@ class FinitePomonoid:
         leq, autos = _canonical_order(self.leq_table)
         return leq, min(_relabel(self.times_table, perm) for perm in autos)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FinitePomonoid):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
     def __repr__(self) -> str:
-        return f"<FinitePomonoid size={self.size} unit={self.element_names[self.unit]!r}>"
+        return f"<{type(self).__name__} size={self.size} unit={self.element_names[self.unit]!r}>"
 
     def describe(self) -> str:
         """Readable rendering of the order and multiplication tables."""
@@ -232,6 +213,7 @@ class FinitePomonoid:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True, repr=False)
 class FiniteResiduatedLattice(FinitePomonoid):
     """A finite pomonoid whose order is a bounded lattice with a residuum.
 
@@ -239,31 +221,20 @@ class FiniteResiduatedLattice(FinitePomonoid):
     (a*b <= c iff a <= residuum(b, c)) is part of :func:`validate`.
     """
 
-    __slots__ = ("bottom", "meet_table", "join_table", "residuum_table")
+    bottom: int
+    meet_table: Sequence[Sequence[int]]
+    join_table: Sequence[Sequence[int]]
+    residuum_table: Sequence[Sequence[int]]
 
-    def __init__(
-        self,
-        element_names: Sequence[str],
-        unit: int,
-        leq_table: Sequence[Sequence[bool]],
-        times_table: Sequence[Sequence[int]],
-        bottom: int,
-        meet_table: Sequence[Sequence[int]],
-        join_table: Sequence[Sequence[int]],
-        residuum_table: Sequence[Sequence[int]],
-    ):
-        super().__init__(element_names, unit, leq_table, times_table)
+    def __post_init__(self) -> None:
+        super().__post_init__()
         n = self.size
-        if not (0 <= bottom < n):
-            raise ValueError(f"bottom index {bottom} out of range")
-        self.bottom = int(bottom)
-        self.meet_table = _square("meet", meet_table, n)
-        self.join_table = _square("join", join_table, n)
-        self.residuum_table = _square("residuum", residuum_table, n)
-
-    def _fields(self) -> tuple:
-        return (*super()._fields(), self.bottom, self.meet_table, self.join_table,
-                self.residuum_table)
+        if not (0 <= self.bottom < n):
+            raise ValueError(f"bottom index {self.bottom} out of range")
+        object.__setattr__(self, "bottom", int(self.bottom))
+        object.__setattr__(self, "meet_table", _square("meet", self.meet_table, n))
+        object.__setattr__(self, "join_table", _square("join", self.join_table, n))
+        object.__setattr__(self, "residuum_table", _square("residuum", self.residuum_table, n))
 
     def meet(self, a: int, b: int) -> int:
         return self.meet_table[a][b]
@@ -274,27 +245,23 @@ class FiniteResiduatedLattice(FinitePomonoid):
     def residuum(self, a: int, b: int) -> int:
         return self.residuum_table[a][b]
 
-    def __repr__(self) -> str:
-        return f"<FiniteResiduatedLattice size={self.size} unit={self.element_names[self.unit]!r}>"
 
-
+@dataclass(frozen=True, repr=False)
 class UnitIntervalPomonoid:
     """Real degrees in [0, 1] under a t-norm, ordered as usual.
 
     Comparisons are exact machine-real comparisons; nothing is rounded.
     """
 
-    KINDS = ("product", "min", "lukasiewicz")
+    KINDS: ClassVar[Tuple[str, ...]] = ("product", "min", "lukasiewicz")
 
-    __slots__ = ("kind",)
+    kind: str
 
-    def __init__(self, kind: str):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown unit-interval pomonoid kind {kind!r}")
-        self.kind = kind
+    def __post_init__(self) -> None:
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown unit-interval pomonoid kind {self.kind!r}")
 
-    def __reduce__(self):
-        return UnitIntervalPomonoid, (self.kind,)
+    __reduce__ = FinitePomonoid.__reduce__
 
     @property
     def unit(self) -> float:
@@ -309,14 +276,6 @@ class UnitIntervalPomonoid:
         if self.kind == "min":
             return a if a <= b else b
         return max(0.0, a + b - 1.0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnitIntervalPomonoid):
-            return NotImplemented
-        return self.kind == other.kind
-
-    def __hash__(self) -> int:
-        return hash(("UnitIntervalPomonoid", self.kind))
 
     def __repr__(self) -> str:
         return f"<UnitIntervalPomonoid {self.kind}>"
