@@ -100,13 +100,21 @@ class InvalidAlgebraError(ValueError):
 # =====================================================================
 
 
-def _square(label: str, table, n: int, entry=int) -> Tuple[tuple, ...]:
+def _truth(value) -> bool:
+    """An order entry: a bool (numpy's too) or the int 0 or 1."""
+    if getattr(value, "dtype", None) != bool and operator.index(value) not in (0, 1):
+        raise ValueError("leq table entry out of range")
+    return bool(value)
+
+
+def _square(label: str, table, n: int, entry=operator.index) -> Tuple[tuple, ...]:
     """``table`` as an n x n tuple of ``entry`` values; for an index table
-    (the default ``entry``), each an element index in range."""
-    rows = tuple(tuple(entry(v) for v in row) for row in table)
+    (the default ``entry``), each an element index in range.  Neither
+    ``entry`` takes a str, so a table or row given as a str is refused."""
+    rows = tuple(tuple(map(entry, row)) for row in table)
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"{label} table must be {n}x{n}")
-    if entry is int and any(not (0 <= v < n) for row in rows for v in row):
+    if entry is operator.index and any(not (0 <= v < n) for row in rows for v in row):
         raise ValueError(f"{label} table entry out of range")
     return rows
 
@@ -123,7 +131,8 @@ class FinitePomonoid:
     ``leq_table[a][b]`` says whether a <= b and ``times_table[a][b]`` is the
     product.  Elements are addressed by index everywhere; ``element_names``
     only affects display and serialization.  Construction checks shapes and
-    index ranges; axiom checking is the job of :func:`validate`.
+    index ranges, and refuses a str where names, a table or a row is
+    expected; axiom checking is the job of :func:`validate`.
     """
 
     element_names: Sequence[str]
@@ -133,6 +142,8 @@ class FinitePomonoid:
     _np: Optional[tuple] = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.element_names, str):
+            raise TypeError("element names must be a sequence, not str")
         names = tuple(str(x) for x in self.element_names)
         n = len(names)
         if n == 0:
@@ -143,7 +154,7 @@ class FinitePomonoid:
             raise ValueError(f"unit index {self.unit} out of range")
         object.__setattr__(self, "element_names", names)
         object.__setattr__(self, "unit", int(self.unit))
-        object.__setattr__(self, "leq_table", _square("leq", self.leq_table, n, bool))
+        object.__setattr__(self, "leq_table", _square("leq", self.leq_table, n, _truth))
         object.__setattr__(self, "times_table", _square("times", self.times_table, n))
 
     def __reduce__(self):

@@ -303,7 +303,9 @@ def _print_verdict(v: entail.Verdict, as_json: bool) -> int:
         print(f"  {format_multiset(v.path.start)}")
         for s in v.path.steps:
             print(f"  -> {format_multiset(s.result)}   [via {format_mfd(s.rule)}]")
-        print(f"certificate: {proofs.format_proof(v.certificate)}")
+        sys.stdout.write("certificate: ")
+        proofs._write_proof(v.certificate, sys.stdout.write, format_multiset, '"')
+        print()
     elif isinstance(v, entail.Refuted):
         print(f"refuted: {format_mfd(v.query)}")
         if v.method == "member-algorithm":

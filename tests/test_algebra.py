@@ -310,6 +310,56 @@ class TestFinitePomonoid:
             assert name in text
         assert "unit" in text
 
+    @pytest.mark.parametrize("args,error,message", [
+        # a str is not read as its characters: '01' would name two elements,
+        # and bool('0') is True, so each leq row '11', '01' read all True
+        (("01", 1, ((True, True), (False, True)), ((0, 0), (0, 1))),
+         TypeError, "element names must be a sequence, not str"),
+        ((("0", "1"), 1, ("11", "01"), ((0, 0), (0, 1))), TypeError, "'str'"),
+        ((("0", "1"), 1, ((True, True), (False, True)), ("00", "01")), TypeError, "'str'"),
+        ((("0", "1"), 1, ((True, True), (False, True)), "0001"), TypeError, "'str'"),
+        # an entry is an element index or an order bit, never rounded or truncated
+        ((("0", "1"), 1, ((True, True), (False, True)), ((0, 0), (0, 1.7))), TypeError, "'float'"),
+        ((("0", "1"), 1, ((True, 1.0), (False, True)), ((0, 0), (0, 1))), TypeError, "'float'"),
+        ((("0", "1"), 1, ((True, 2), (False, True)), ((0, 0), (0, 1))),
+         ValueError, "^leq table entry out of range$"),
+    ], ids=["names", "leq-rows", "times-rows", "times", "times-float", "leq-float", "leq-2"])
+    def test_entries_are_not_read_loosely(self, args, error, message):
+        with pytest.raises(error, match=message):
+            FinitePomonoid(*args)
+
+    def test_order_bits_and_integer_indices_are_read(self, bool2):
+        for leq, times in [
+            (((1, 1), (0, 1)), ((0, 0), (0, 1))),
+            (np.array([[True, True], [False, True]]), np.array([[0, 0], [0, 1]], dtype=np.int8)),
+            (np.array([[1, 1], [0, 1]]), ((np.int64(0), 0), (0, True))),
+        ]:
+            got = FinitePomonoid(("0", "1"), 1, leq, times)
+            assert got == bool2 and hash(got) == hash(bool2)
+            assert all(type(v) is bool for row in got.leq_table for v in row)
+            assert all(type(v) is int for row in got.times_table for v in row)
+
+    def test_pickles_rebuild_through_the_constructor(self, nonlinear_algebra):
+        lattice, _ = downset_completion(nonlinear_algebra)
+        tail = (lattice.bottom, lattice.meet_table, lattice.join_table, lattice.residuum_table)
+        for value, rest in ((nonlinear_algebra, ()), (lattice, tail)):
+            head = (value.element_names, value.unit, value.leq_table, value.times_table)
+            assert value.__reduce__() == (type(value), head + rest)
+            before = pickle.dumps(value)
+            value.np_tables()
+            assert len(pickle.dumps(value)) == len(before)
+        assert UnitIntervalPomonoid("min").__reduce__() == (UnitIntervalPomonoid, ("min",))
+
+        class NotSquare:
+            def __reduce__(self):
+                return FinitePomonoid, (("0", "1"), 1, ((True, True), (False, True)), ((0, 0),))
+
+        with pytest.raises(ValueError, match="^times table must be 2x2$"):
+            pickle.loads(pickle.dumps(NotSquare()))
+
+    def test_unit_interval_repr(self):
+        assert repr(UnitIntervalPomonoid("min")) == "<UnitIntervalPomonoid min>"
+
 
 class TestValidate:
     def test_nonlinear_golden_is_clean(self, nonlinear_algebra):

@@ -27,6 +27,7 @@ from mfdlogic import (
     check_proof,
     decide,
     format_mfd,
+    format_proof,
     is_model,
     parse_mfd,
     parse_theory,
@@ -693,6 +694,43 @@ class TestLongMultiplicityText:
             code = main(["decide", str(theory), query, "--json"])
         assert code == EXIT_PROVED
         assert (sink.length, sink.digest.hexdigest()) == (length, digest)
+
+
+class TestStreamedText:
+    """Text-mode ``mfd decide`` writes a proved verdict's certificate piece
+    by piece: its bytes are ``format_proof``'s, which is never called."""
+
+    @pytest.mark.parametrize("n,length,digest,bound", [
+        (300, 1110691, "6e71ae89a68f5252eca66da00115db13f1e8bf9e33dccd7211911988ea698a97", 1.25),
+        (800, 7761691, "e294d858c6469ec4fdaf25bafba7817e3763f0699a98ed5f04c4e9bf6a2805c4", 2.5),
+    ], ids=["n300", "n800"])
+    def test_counter_certificate_is_streamed(self, tmp_path, n, length, digest, bound):
+        theory = tmp_path / "counter.theory"
+        theory.write_text("a b -> b b\n")
+        query = " ".join(["a"] * n + ["b"]) + " -> " + " ".join(["b"] * (n + 1))
+        sink = _HashingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["decide", str(theory), query])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_PROVED
+        assert (sink.length, sink.digest.hexdigest()) == (length, digest)
+        # printed whole, the certificate peaked at 2.6 MiB (n = 300) and 14.4 MiB (800)
+        assert peak < bound * 2**20, peak
+
+    def test_certificate_line_is_format_proof(self, run, tmp_path):
+        theory = tmp_path / "counter.theory"
+        theory.write_text("a b -> b b\n")
+        query = " ".join(["a"] * 300 + ["b"]) + " -> " + " ".join(["b"] * 301)
+        code, out, _ = run("decide", str(theory), query)
+        assert code == EXIT_PROVED
+        verdict = decide(parse_theory(theory.read_text()), parse_mfd(query))
+        *head, line, tail = out.split("\n")
+        assert (line, tail) == ("certificate: " + format_proof(verdict.certificate), "")
+        assert len(head) == 3 + len(verdict.path) == 303
 
 
 # ============================================================
