@@ -150,10 +150,11 @@ class FinitePomonoid:
             raise ValueError("algebra needs at least one element")
         if len(set(names)) != n:
             raise ValueError("element names must be distinct")
-        if not (0 <= self.unit < n):
-            raise ValueError(f"unit index {self.unit} out of range")
+        unit = operator.index(self.unit)
+        if not (0 <= unit < n):
+            raise ValueError(f"unit index {unit} out of range")
         object.__setattr__(self, "element_names", names)
-        object.__setattr__(self, "unit", int(self.unit))
+        object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "leq_table", _square("leq", self.leq_table, n, _truth))
         object.__setattr__(self, "times_table", _square("times", self.times_table, n))
 
@@ -240,9 +241,10 @@ class FiniteResiduatedLattice(FinitePomonoid):
     def __post_init__(self) -> None:
         super().__post_init__()
         n = self.size
-        if not (0 <= self.bottom < n):
-            raise ValueError(f"bottom index {self.bottom} out of range")
-        object.__setattr__(self, "bottom", int(self.bottom))
+        bottom = operator.index(self.bottom)
+        if not (0 <= bottom < n):
+            raise ValueError(f"bottom index {bottom} out of range")
+        object.__setattr__(self, "bottom", bottom)
         object.__setattr__(self, "meet_table", _square("meet", self.meet_table, n))
         object.__setattr__(self, "join_table", _square("join", self.join_table, n))
         object.__setattr__(self, "residuum_table", _square("residuum", self.residuum_table, n))
@@ -416,6 +418,17 @@ class Evaluation:
 
     algebra: Algebra
     assignment: Dict[str, Union[int, float]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # over a finite algebra a degree is an element index: -1 is not the last
+        if isinstance(self.algebra, FinitePomonoid):
+            for attr, value in self.assignment.items():
+                try:
+                    ok = 0 <= operator.index(value) < self.algebra.size
+                except TypeError:
+                    ok = False
+                if not ok:
+                    raise ValueError(f"{attr!r} has degree {value!r}, not an element index")
 
     def degree_name(self, attr: str) -> str:
         """Display form of the assigned degree."""

@@ -232,50 +232,24 @@ def _print_json(doc) -> None:
     sys.stdout.write("\n")
 
 
-# how many multisets _json_texts keeps the text of: a certificate step
-# names its rule's two sides, the unit, the state before, its result and
-# the path's start
-_RECENT_TEXTS = 8
-
-
 def _json_texts() -> Callable[[AttributeMultiset], str]:
-    """``format_multiset`` as a JSON string body, ``json.dumps(text)[1:-1]``.
-
-    JSON escapes a string character by character, so the escaped text is
-    the runs of the escaped names.  Each name is escaped once, and the text
-    of each of the last few multisets asked for is kept by identity, so a
-    multiset that a stretch of output names again is spelled once there.
-    """
-    names = {}
-    recent = {}  # id -> (multiset, text), least recently asked first
-
-    def escaped(name: str) -> str:
-        text = names.get(name)
-        if text is None:
-            text = names[name] = json.dumps(name)[1:-1]
-        return text
-
-    def multiset_text(m: AttributeMultiset) -> str:
-        # holding the multiset keeps its id from passing to another object
-        hit = recent.pop(id(m), None)
-        if hit is None:
-            hit = (m, _format_runs((escaped(name), mult) for name, mult in m.items()))
-            if len(recent) == _RECENT_TEXTS:
-                del recent[next(iter(recent))]
-        recent[id(m)] = hit
-        return hit[1]
-
-    return multiset_text
+    """``format_multiset`` as a JSON string body, ``json.dumps(text)[1:-1]``:
+    JSON escapes a string character by character, so that is the runs of the
+    escaped names, each name escaped once.  ``proofs._write_proof`` spells a
+    repeated multiset once."""
+    escaped = functools.lru_cache(maxsize=None)(lambda name: json.dumps(name)[1:-1])
+    return lambda m: _format_runs((escaped(name), mult) for name, mult in m.items())
 
 
 def _print_proved_json(v: entail.Proved) -> None:
     """Print ``json.dumps(verdict_to_json(v), indent=2)`` and a newline,
     piece by piece: no path text and no certificate is ever one string,
     and the certificate goes out escaped as ``proofs._write_proof`` spells
-    it, each multiset's text shared by the nodes and steps that name it."""
+    it."""
     write = sys.stdout.write
     text = _json_texts()
 
+    @functools.lru_cache(maxsize=None)  # every step names a rule of the theory
     def formula(f: Mfd) -> str:
         return f"{text(f.antecedent)} -> {text(f.consequent)}"
 

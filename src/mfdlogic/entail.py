@@ -8,13 +8,13 @@ evaluations over exhaustively enumerated finite pomonoids, smallest first,
 until one models the theory but not the query.  ``decide`` interleaves the
 two on equal shares of time, a BFS layer or a sweep tile per step, so it
 costs at most about twice the engine that answers, plus one tile, except
-when the theory is non-contracting: there the member
-procedure answers yes or no outright, and a yes is certified from the rule
-firings of its own saturation run, with no search at all.  Once the sweep
-has covered every algebra up to the size cap, ``decide`` computes the
-backward coverability basis of the query consequent; if the antecedent lies
-outside its upward closure, that basis is an inductive invariant showing
-the query unprovable, and the BFS stops.
+when the theory is non-contracting: there the member procedure answers yes
+or no outright, and a yes is certified from the rule firings of a second
+saturation run, ``member_trace``'s (a single run waits on ROADMAP item 5),
+with no search at all.  Once the sweep has covered every algebra up to the
+size cap, ``decide`` computes the backward coverability basis of the query
+consequent; if the antecedent lies outside its upward closure, that basis is
+an inductive invariant showing the query unprovable, and the BFS stops.
 
 Each query is compiled once (``_compile``, a ``formula._CountVectors``):
 the BFS, the saturation path and the basis rewrite its count tuples, the
@@ -579,15 +579,16 @@ def decide(theory: Theory, query: Mfd, budgets: Budgets = Budgets()) -> Verdict:
 
     Non-contracting theories get the definitive fast path: the member
     procedure answers yes/no outright, and a yes is certified from the
-    firings of its saturation run, with no budget and not necessarily the
-    shortest path.  Otherwise the loop below interleaves the prover and the
-    refuter, first hit wins, on equal shares of time: each step, one BFS
-    layer or one tile of the sweep, at most ``_TILE_EVALS`` evaluations
-    (with the basis hook after it), goes to the live engine that has spent
-    less ``perf_counter`` time so far, the BFS on a tie.  The engine that
-    does not answer spends at most the other's time plus one step of its
-    own, so ``decide`` costs at most about twice the engine that answers,
-    plus one tile.  When the sweep has covered every algebra up to
+    firings of a second saturation run, ``member_trace``'s (a single run
+    waits on ROADMAP item 5), with no budget and not always the shortest
+    path.  Otherwise the loop below interleaves the prover and the refuter,
+    first hit wins, on equal shares of time: each step, one BFS layer or one
+    tile of the sweep, at most ``_TILE_EVALS`` evaluations (with the basis
+    hook after it), goes to the live engine that has spent less
+    ``perf_counter`` time so far, the BFS on a tie.  The engine that does
+    not answer spends at most the other's time plus one step of its own, so
+    ``decide`` costs at most about twice the engine that answers, plus one
+    tile.  When the sweep has covered every algebra up to
     ``budgets.max_algebra_size`` without a countermodel, the coverability
     basis of the consequent is computed, with at most ``_BASIS_CAP`` (64)
     vectors added; if it leaves out the antecedent, the query is refuted by
@@ -656,7 +657,7 @@ def deduction_witness(
     """
     if _as_int(n_max, "n_max") < 0:
         raise ValueError(f"n_max must not be negative, got {n_max}")
-    for n in range(n_max + 1):
+    for n in range(n_max + 1 if a else 1):  # an empty A is each of its powers
         verdict = decide(theory, Mfd(a.power(n), b), budgets)
         if isinstance(verdict, Proved):
             return n

@@ -23,6 +23,7 @@ and every multiset that one rule application takes into it.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import List, Tuple, Union
@@ -318,12 +319,19 @@ def derive_weak_additivity(p1: ProofTree, p2: ProofTree) -> ProofTree:
 # as "1".
 
 
+# multisets whose text _write_proof keeps: a certificate step names its
+# rule's two sides, the unit, the state before, its result and the start
+_RECENT_TEXTS = 8
+
+
 def _write_proof(tree: ProofTree, sink, multiset_text, quote: str) -> None:
     """Send the certificate text of ``tree`` to ``sink`` piece by piece,
     each multiset spelled ``multiset_text(m)`` and each quote mark as
     ``quote``.  With JSON-escaped multisets and ``\\"`` the pieces make
     the certificate's JSON string, without the certificate ever being
-    one string."""
+    one string.  The last few multisets' texts are kept by value, so each
+    is spelled once while a stretch of the certificate names it."""
+    multiset_text = functools.lru_cache(maxsize=_RECENT_TEXTS)(multiset_text)
 
     def quoted(m: AttributeMultiset) -> str:
         return f"{quote}{multiset_text(m)}{quote}"

@@ -452,21 +452,22 @@ def _scaled_distance(diffs: Sequence[float]) -> float:
 def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> SimilarityFn:
     """Construct one of the stock similarity functions.
 
-    * ``exp_euclidean`` with constant c: exp(-10^-c * distance), where the
-      distance is |a-b| on scalars and Euclidean on equal-length vectors;
-      degrees land in (0, 1] and suit the unit-interval algebras.  The
-      distance is float64 arithmetic on ``float()`` of each number: the
-      squares ``d * d`` are summed left to right, then ``math.sqrt``, so a
-      degree is the same on every Python version.  Where that sum of
-      squares overflows, the differences are divided by the largest |d|
-      first and the length multiplied by it after.  A distance that is not
-      finite (a difference or the scaled length beyond float range) is out
-      of range, for scalars and vectors alike.  The function carries a
-      ``block(lefts, rights)`` kernel, which the relation check calls on
-      two :func:`_float_column` arrays: the degrees of every pair of rows,
-      bit for bit, or None where a distance is not finite.  Columns with
-      no such array (bools, strings, scalars mixed with vectors, vectors
-      of different lengths) are computed pair by pair.
+    * ``exp_euclidean`` with constant c, an int or a float (not a bool or a
+      str): exp(-10^-c * distance), where the distance is |a-b| on scalars
+      and Euclidean on equal-length vectors; degrees land in (0, 1] and suit
+      the unit-interval algebras.  The distance is float64 arithmetic on
+      ``float()`` of each number: the squares ``d * d`` are summed left to
+      right, then ``math.sqrt``, so a degree is the same on every Python
+      version.  Where that sum of squares overflows, the differences are
+      divided by the largest |d| first and the length multiplied by it
+      after.  A distance that is not finite (a difference or the scaled
+      length beyond float range) is out of range, for scalars and vectors
+      alike.  The function carries a ``block(lefts, rights)`` kernel, which
+      the relation check calls on two :func:`_float_column` arrays: the
+      degrees of every pair of rows, bit for bit, or None where a distance
+      is not finite.  Columns with no such array (bools, strings, scalars
+      mixed with vectors, vectors of different lengths) are computed pair by
+      pair.
     * ``equality``: the unit on equal values, the designated ``bottom``
       element otherwise.
     * ``table``: an explicit matrix over listed ``labels``; the labels, the
@@ -477,12 +478,14 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
         if not isinstance(algebra, UnitIntervalPomonoid):
             raise InvalidRelationError("exp_euclidean needs a unit-interval algebra")
         c = params["c"]
+        number = isinstance(c, (int, float)) and not isinstance(c, bool)
         try:
-            scale = 10.0 ** (-float(c))
+            scale = 10.0 ** (-float(c)) if number else math.nan
         except OverflowError:
             scale = math.inf
         if not math.isfinite(scale):
-            raise InvalidRelationError(f"exp_euclidean scale 10^-c is not finite for c = {c!r}")
+            raise InvalidRelationError(f"exp_euclidean scale 10^-c is not finite for c = {c!r} "
+                                       "(c must be an int or a float)")
 
         def exp_fn(a, b):
             try:

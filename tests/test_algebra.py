@@ -253,6 +253,23 @@ class TestFinitePomonoid:
                 ((0, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (0, 1)),
             )
 
+    def test_unit_and_bottom_are_read_as_table_entries(self):
+        # the range test used to run first, and int() then took 1.7 as 1
+        # and 0.9 as 0; a float is refused as a table entry is
+        leq, times = ((True, True), (False, True)), ((0, 0), (0, 1))
+        lattice = (((0, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (0, 1)))
+        with pytest.raises(TypeError):
+            FinitePomonoid(("0", "1"), 1.7, leq, times)
+        with pytest.raises(TypeError):
+            FiniteResiduatedLattice(("0", "1"), 1, leq, times, 0.9, *lattice)
+        with pytest.raises(TypeError):
+            FinitePomonoid(("0", "1"), "1", leq, times)
+        # numpy's ints are indices, and are kept as Python ints
+        pomonoid = FinitePomonoid(("0", "1"), np.int64(1), leq, times)
+        assert type(pomonoid.unit) is int and pomonoid.unit == 1
+        bottom = FiniteResiduatedLattice(("0", "1"), 1, leq, times, np.int8(0), *lattice).bottom
+        assert type(bottom) is int and bottom == 0
+
     def test_set_slots_cannot_be_rebound(self):
         before = list(enumerate_pomonoids(3))
         shared = before[2]
@@ -515,6 +532,22 @@ class TestEvaluation:
         for algebra in pomonoids_upto_3:
             e = Evaluation(algebra, {v: algebra.unit for v in theory.variables})
             assert is_model(e, theory)
+
+    @pytest.mark.parametrize("degree", [-1, 2, 1.0, "1", None])
+    def test_finite_degrees_are_element_indices(self, bool2, degree):
+        # -1 used to read as the last element, so a -> b held with b at -1;
+        # 2 ended in an IndexError and 1.0 in a TypeError
+        with pytest.raises(ValueError, match="^'b' has degree"):
+            Evaluation(bool2, {"a": 1, "b": degree})
+
+    def test_finite_degrees_in_range_are_kept(self, bool2, nonlinear_algebra):
+        e = Evaluation(bool2, {"a": 1, "b": np.int64(0), "c": True})
+        assert not satisfies(e, parse_mfd("a -> b")) and satisfies(e, parse_mfd("b -> c"))
+        top = nonlinear_algebra.size - 1
+        assert Evaluation(nonlinear_algebra, {"u": top}).assignment == {"u": top}
+        # unit-interval degrees are not checked: a Fraction is a degree there
+        e = Evaluation(builtin_algebra("product"), {"p": Fraction(1, 3), "q": -1})
+        assert e.assignment["q"] == -1
 
     def test_degree_name(self, bool2):
         assert Evaluation(bool2, {"p": 0}).degree_name("p") == "0"

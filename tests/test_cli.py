@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import tracemalloc
 
 import pytest
 
-from mfdlogic import cli, formula
+from mfdlogic import cli, formula, proofs
 from mfdlogic import (
     AttributeMultiset,
     Budgets,
@@ -733,6 +734,62 @@ class TestStreamedText:
         assert len(head) == 3 + len(verdict.path) == 303
 
 
+class TestValueKeyedTexts:
+    """The certificate writers keep multiset texts by value: a verdict whose
+    path and certificate share no objects prints the same bytes."""
+
+    def rebuilt(self, n):
+        theory = parse_theory("a b -> b b\n")
+        query = parse_mfd(" ".join(["a"] * n + ["b"]) + " -> " + " ".join(["b"] * (n + 1)))
+        verdict = verdict_from_json(verdict_to_json(decide(theory, query)))
+        assert isinstance(verdict, Proved) and len(verdict.path) == n
+        return verdict
+
+    def test_json_writer(self, capsys):
+        verdict = self.rebuilt(120)
+        cli._print_proved_json(verdict)
+        assert capsys.readouterr().out == json.dumps(verdict_to_json(verdict), indent=2) + "\n"
+
+    def test_text_writer(self, capsys):
+        verdict = self.rebuilt(120)
+        assert cli._print_verdict(verdict, as_json=False) == EXIT_PROVED
+        lines = capsys.readouterr().out.split("\n")
+        certificate = [line for line in lines if line.startswith("certificate: ")]
+        assert certificate == ["certificate: " + format_proof(verdict.certificate)]
+
+    def test_texts_are_found_again_by_value(self):
+        # the same certificate with every multiset an object of its own
+        def copy(m):
+            return AttributeMultiset(dict(m.items()))
+
+        def fresh(node):
+            if isinstance(node, proofs.Hyp):
+                return proofs.Hyp(Mfd(copy(node.formula.antecedent), copy(node.formula.consequent)))
+            if isinstance(node, proofs.AxInstance):
+                return proofs.AxInstance(copy(node.left), copy(node.right))
+            f = node.conclusion
+            return proofs.Cut(fresh(node.left), fresh(node.right),
+                              Mfd(copy(f.antecedent), copy(f.consequent)))
+
+        def spelled(tree):
+            asked = []
+
+            def text(m):
+                asked.append(m)
+                return formula.format_multiset(m)
+
+            pieces = []
+            proofs._write_proof(tree, pieces.append, text, '"')
+            assert "".join(pieces) == format_proof(tree)
+            return len(asked)
+
+        tree = self.rebuilt(20).certificate
+        copied = fresh(tree)
+        assert copied == tree
+        named = 2 * len(re.findall(r"\((?:hyp|ax|cut)", format_proof(tree)))
+        assert spelled(copied) == spelled(tree) < named / 2
+
+
 # ============================================================
 # Errors and the module entry point
 # ============================================================
@@ -976,6 +1033,18 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and message in err and out == ""
 
+
+    @pytest.mark.parametrize("c", ['"1"', "true"])
+    def test_exp_euclidean_c_is_a_number(self, run, tmp_path, c):
+        # float() read both as 1.0, and the relation was checked
+        doc = tmp_path / "doc.json"
+        doc.write_text('{"algebra": "product", "scheme": ["a"], "tuples": [[1], [2]], '
+                       f'"similarity": {{"a": {{"kind": "exp_euclidean", "c": {c}}}}}}}')
+        theory = tmp_path / "a.theory"
+        theory.write_text("a -> a a\n")
+        code, out, err = run("check", str(doc), str(theory))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "c must be an int or a float" in err and out == ""
 
     @pytest.mark.parametrize("bad", [2.5, "-3", "0.5"])
     def test_table_degree_out_of_range(self, run, tmp_path, bad):

@@ -1269,6 +1269,22 @@ class TestDeductionWitness:
             decide(no_accumulation, Mfd(M("p").power(n - 1), M("q r s t"))), Proved
         )
 
+    def test_empty_antecedent_is_decided_once(self, monkeypatch):
+        # every power of 1 is 1, so n = 0 settles every n; the loop used to
+        # decide 1 -> b n_max + 1 times
+        calls = []
+
+        def counted(theory, query, budgets=Budgets()):
+            calls.append(query)
+            return decide(theory, query, budgets)
+
+        monkeypatch.setattr(entail, "decide", counted)
+        assert deduction_witness(parse_theory("a -> b"), M("1"), M("b"), 50) is None
+        assert calls == [F("1 -> b")]
+        calls.clear()
+        assert deduction_witness(parse_theory("1 -> b"), M("1"), M("b"), 50) == 0
+        assert calls == [F("1 -> b")]
+
     def test_unknown_power_is_not_skipped(self):
         # nothing fires from 1, so n = 0 is ruled out by an exhausted graph;
         # a a -> d fires at n = 2 within these budgets, but n = 1 (a -> b ->

@@ -781,6 +781,15 @@ class TestBuiltinSimilarity:
         assert fn((1e200, 0, 1.0), (-1e200, 0, 1)) == math.exp(-scale * 2e200)
         assert fn((3e200, 4e200), (0, 0)) == pytest.approx(math.exp(-scale * 5e200), rel=1e-14)
 
+    @pytest.mark.parametrize("c", ["1", True, False, None, [1], "nan"])
+    def test_exp_euclidean_c_is_an_int_or_a_float(self, c):
+        # float() used to read "1" and true as 1.0
+        with pytest.raises(InvalidRelationError, match="c must be an int or a float"):
+            builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": c})
+        for number in (1, 1.0, np.float64(1)):
+            fn = builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": number})
+            assert fn(0, 10) == math.exp(-1)
+
     def test_exp_euclidean_needs_real_degrees(self):
         with pytest.raises(InvalidRelationError):
             builtin_similarity("exp_euclidean", builtin_algebra("bool2"), {"c": 2})
