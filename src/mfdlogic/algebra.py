@@ -23,8 +23,9 @@ import functools
 import itertools
 import json
 import operator
+import types
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .formula import AttributeMultiset, Mfd, Theory
 
@@ -412,23 +413,33 @@ def validate_unit_interval(
 # =====================================================================
 
 
-@dataclass
+@dataclass(frozen=True)
 class Evaluation:
-    """An assignment of degrees to attribute names over some algebra."""
+    """An assignment of degrees to attribute names over some algebra.
+
+    Frozen, and ``assignment`` is a read-only copy of the mapping given, so
+    a degree cannot be changed past the check of the constructor.  Copies
+    and pickles rebuild through ``__reduce__``, which checks them again.
+    """
 
     algebra: Algebra
-    assignment: Dict[str, Union[int, float]] = field(default_factory=dict)
+    assignment: Mapping[str, Union[int, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        assignment = dict(self.assignment)
         # over a finite algebra a degree is an element index: -1 is not the last
         if isinstance(self.algebra, FinitePomonoid):
-            for attr, value in self.assignment.items():
+            for attr, value in assignment.items():
                 try:
                     ok = 0 <= operator.index(value) < self.algebra.size
                 except TypeError:
                     ok = False
                 if not ok:
                     raise ValueError(f"{attr!r} has degree {value!r}, not an element index")
+        object.__setattr__(self, "assignment", types.MappingProxyType(assignment))
+
+    def __reduce__(self):
+        return Evaluation, (self.algebra, dict(self.assignment))
 
     def degree_name(self, attr: str) -> str:
         """Display form of the assigned degree."""

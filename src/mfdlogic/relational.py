@@ -134,14 +134,13 @@ def _columns(rel: RankedRelation, attrs: Sequence[str]) -> List[Tuple[str, int]]
 
 
 def _pair_evaluation(
-    rel: RankedRelation, i: int, j: int, columns: List[Tuple[str, int]], e: Evaluation
+    rel: RankedRelation, i: int, j: int, columns: List[Tuple[str, int]]
 ) -> Evaluation:
-    """Fill ``e`` with the evaluation that rows i and j induce on the given
-    columns: each attribute gets the similarity of its two values."""
+    """The evaluation that rows i and j induce on the given columns: each
+    attribute gets the similarity of its two values."""
     row_i, row_j = rel.tuples[i], rel.tuples[j]
-    for attr, pos in columns:
-        e.assignment[attr] = rel.similarity.degree(attr, row_i[pos], row_j[pos])
-    return e
+    return Evaluation(rel.similarity.algebra, {
+        attr: rel.similarity.degree(attr, row_i[pos], row_j[pos]) for attr, pos in columns})
 
 
 def tuple_similarity(rel: RankedRelation, i: int, j: int, m: AttributeMultiset):
@@ -150,13 +149,30 @@ def tuple_similarity(rel: RankedRelation, i: int, j: int, m: AttributeMultiset):
     The product of per-attribute similarities, each raised to its
     multiplicity; the empty multiset gives the unit.
     """
-    e = Evaluation(rel.similarity.algebra)
-    return evaluate(_pair_evaluation(rel, i, j, _columns(rel, m.support), e), m)
+    return evaluate(_pair_evaluation(rel, i, j, _columns(rel, m.support)), m)
 
 
 # Row pairs per tile of the relation check: what a check holds at once is a
 # few arrays of about this many degrees, whatever the number of rows.
 _TILE_PAIRS = 4096
+
+# The fast exponential of the screen in _tile_failure: within a few ULP of
+# math.exp, which gives the degrees, but not always equal to it.
+_approx_exp = np.exp
+
+# The screen's allowance per factor of a formula.  A screened degree is
+# _approx_exp of an exponent <= 0, within a few ULP of math.exp of it, so
+# within a few times 2^-53.  All degrees lie in [0, 1], where product, min
+# and the Lukasiewicz step move by at most the sum of their arguments'
+# errors, and each of their roundings adds at most 2^-53.  A side of total
+# multiplicity k folds k degrees in at most 2k steps, so it lies within a
+# few times k * 2^-53 of the side folded from exact degrees, and the
+# subtraction of the margin rounds by 2^-53 more.  So each side of a
+# formula of total multiplicity K is within M = (K + 1) * _SCREEN_MARGIN of
+# its exact value, with 2^13 ULP per factor where the bound needs a few,
+# and a pair whose approximate sides are more than 2M apart gets the
+# verdict of its exact sides.
+_SCREEN_MARGIN = 2.0 ** -40
 
 
 def _code_column(rel: RankedRelation, pos: int) -> Tuple[np.ndarray, List, Optional[np.ndarray]]:
@@ -166,7 +182,7 @@ def _code_column(rel: RankedRelation, pos: int) -> Tuple[np.ndarray, List, Optio
     ``values[codes[r]]``. Values of different types never share a code, so
     1 and 1.0 keep their own similarity calls; an unhashable value gets a
     code of its own. ``floats`` is :func:`_float_column` of the values when
-    the attribute's similarity has a ``block`` kernel, else None.
+    the attribute's similarity has an ``exponents`` kernel, else None.
     """
     index: Dict = {}
     values: List = []
@@ -181,12 +197,12 @@ def _code_column(rel: RankedRelation, pos: int) -> Tuple[np.ndarray, List, Optio
             values.append(value)
         codes.append(code)
     fn = rel.similarity.functions[rel.scheme[pos]]
-    floats = _float_column(values) if hasattr(fn, "block") else None
+    floats = _float_column(values) if hasattr(fn, "exponents") else None
     return np.array(codes, dtype=np.intp), values, floats
 
 
 def _float_column(values: Sequence) -> Optional[np.ndarray]:
-    """The values as float64 for a ``block`` kernel, each number through
+    """The values as float64 for an ``exponents`` kernel, each number through
     ``float()``: shape (n,) when every value is an int or a float, (n, k)
     when every value is a tuple or list of k of them.  None for anything
     else: a bool, a string, an int beyond float range, a column that mixes
@@ -239,54 +255,98 @@ def _fold(times, unit: np.ndarray, degrees: Mapping[str, np.ndarray],
 def _degree_tile(
     rel: RankedRelation, attr: str, coded: Tuple[np.ndarray, List, Optional[np.ndarray]],
     dtype, rows: range,
-) -> Optional[np.ndarray]:
+) -> Optional[Tuple[np.ndarray, Optional[Callable[[np.ndarray], np.ndarray]]]]:
     """The degrees of ``attr`` on the pairs with their row in ``rows``, an
-    array of ``dtype`` with one line per row; None where the similarity
-    raises or gives degrees the algebra cannot hold.
+    array of ``dtype`` with one line per row, and a function giving exact
+    ones; None where the similarity raises or gives degrees the algebra
+    cannot hold.
 
     ``coded`` is :func:`_code_column` of the attribute. The similarity is
     called once per distinct pair of (tile value, column value), unless its
-    ``block`` kernel computes all of them at once; the tile is gathered from
-    those by the codes.
+    ``exponents`` kernel computes all of them at once; the tile is gathered
+    from those by the codes.  With the kernel, the degrees are
+    ``_approx_exp`` of the exponents, and the function maps flat indices of
+    pairs in the tile to the exact degrees, ``math.exp`` of their exponents,
+    taken at most once per distinct pair of values.  Without it, the degrees
+    are exact and the function is None.
     """
     algebra = rel.similarity.algebra
     codes, values, floats = coded
     fn = rel.similarity.functions[attr]
     local: Dict[int, int] = {}
-    tile = [local.setdefault(c, len(local)) for c in codes[rows.start : rows.stop].tolist()]
+    tile = np.array([local.setdefault(c, len(local))
+                     for c in codes[rows.start : rows.stop].tolist()], dtype=np.intp)
     try:
-        block = None if floats is None else fn.block(floats[list(local)], floats)
-        if block is None:
+        exponents = None if floats is None else fn.exponents(floats[list(local)], floats)
+        if exponents is None:
             block = np.array([[fn(values[c], b) for b in values] for c in local])
+        else:
+            block = _approx_exp(exponents)
     except Exception:
         return None
     if not np.can_cast(block.dtype, dtype, "safe"):
         return None
     if dtype is np.intp and not 0 <= block.min() <= block.max() < algebra.size:
         return None  # the flat tables would read some other entry
-    return block.astype(dtype, copy=False)[np.array(tile)[:, None], codes]
+    keys = tile[:, None] * len(values) + codes  # each pair's entry in the block
+    degrees = block.astype(dtype, copy=False).ravel()[keys]
+    if exponents is None:
+        return degrees, None
+    flat, whole = exponents.ravel(), []
+
+    def exact(pairs: np.ndarray) -> np.ndarray:
+        at = keys.ravel()[pairs]
+        if not whole and 4 * len(at) < len(flat):
+            return np.fromiter(map(math.exp, flat[at].tolist()), np.float64, len(at))
+        if not whole:  # many pairs: every value once, kept for the tile
+            whole.append(np.fromiter(map(math.exp, flat.tolist()), np.float64, len(flat)))
+        return whole[0][at]
+
+    return degrees, exact
 
 
 def _tile_failure(
     rel: RankedRelation, f: Mfd, columns: List[Tuple[str, int]], batched: tuple,
-    degrees: Mapping[str, Optional[np.ndarray]], rows: range,
+    tiles: Mapping[str, Optional[Tuple[np.ndarray, Optional[Callable]]]], rows: range,
 ) -> Optional[Tuple[int, int]]:
     """First pair failing ``f`` with its row in ``rows``, row-major, or None.
 
     ``columns`` are :func:`_columns` of the attributes of ``f`` in sorted
-    order, ``batched`` is :func:`_batched` of the algebra, and ``degrees``
+    order, ``batched`` is :func:`_batched` of the algebra, and ``tiles``
     holds the :func:`_degree_tile` of each attribute of ``f`` on these rows,
     shared by every formula of the check. Where one is None, a value a
     similarity cannot take or a degree the algebra cannot hold, the pair
     scan decides whether a violation comes before the error, and raises it
     otherwise.
+
+    When some degrees are approximate, those with a function for exact ones,
+    a pair whose two sides lie more than twice the margin (see
+    ``_SCREEN_MARGIN``) apart is decided on them; the others, the near
+    ties, are decided again on exact degrees, so every verdict is that of
+    the exact degrees.
     """
-    if any(degrees[attr] is None for attr, _ in columns):
+    if any(tiles[attr] is None for attr, _ in columns):
         return _scan_failure(rel, f, columns, rows)
     dtype, times, leq = batched
     n = len(rel.tuples)
-    unit = np.full((len(rows), n), rel.similarity.algebra.unit, dtype=dtype)
-    holds = leq(_fold(times, unit, degrees, f.antecedent), _fold(times, unit, degrees, f.consequent))
+    unit = rel.similarity.algebra.unit
+    degrees = {attr: tiles[attr][0] for attr, _ in columns}
+    exacts = {attr: tiles[attr][1] for attr, _ in columns if tiles[attr][1] is not None}
+    units = np.full((len(rows), n), unit, dtype=dtype)
+    ant = _fold(times, units, degrees, f.antecedent)
+    con = _fold(times, units, degrees, f.consequent)
+    if not exacts:
+        holds = leq(ant, con)
+    else:
+        margin = 2 * (f.antecedent.total + f.consequent.total + 1) * _SCREEN_MARGIN
+        holds = leq(ant, con - margin)
+        near = np.flatnonzero(~holds & leq(ant, con + margin))
+        if near.size:
+            exact = {attr: d.ravel()[near] for attr, d in degrees.items()}
+            exact.update((attr, fn(near)) for attr, fn in exacts.items())
+            units = np.full(near.size, unit, dtype=dtype)
+            holds.flat[near] = leq(_fold(times, units, exact, f.antecedent),
+                                   _fold(times, units, exact, f.consequent))
     if holds.all():
         return None
     i, j = divmod(int(np.argmin(holds)), n)
@@ -297,10 +357,9 @@ def _scan_failure(
     rel: RankedRelation, f: Mfd, columns: List[Tuple[str, int]], rows: range
 ) -> Optional[Tuple[int, int]]:
     """:func:`_tile_failure` pair by pair with scalar evaluation."""
-    e = Evaluation(rel.similarity.algebra)
     for i in rows:
         for j in range(len(rel.tuples)):
-            if not satisfies(_pair_evaluation(rel, i, j, columns, e), f):
+            if not satisfies(_pair_evaluation(rel, i, j, columns), f):
                 return i, j
     return None
 
@@ -355,13 +414,13 @@ def relation_models(
         if not live:
             break
         rows = range(start, min(n, start + step))
-        degrees: Dict[str, Optional[np.ndarray]] = {}
+        tiles: Dict[str, Optional[Tuple[np.ndarray, Optional[Callable]]]] = {}
         for k, (f, columns) in enumerate(live):
             for attr, _ in columns:
-                if attr not in degrees:
-                    degrees[attr] = _degree_tile(rel, attr, coded[attr], batched[0], rows)
+                if attr not in tiles:
+                    tiles[attr] = _degree_tile(rel, attr, coded[attr], batched[0], rows)
             try:
-                failure = _tile_failure(rel, f, columns, batched, degrees, rows)
+                failure = _tile_failure(rel, f, columns, batched, tiles, rows)
             except Exception as exc:
                 failure = exc
             if failure is not None:
@@ -417,14 +476,9 @@ def relation_to_evaluations(rel: RankedRelation) -> List[Evaluation]:
     so a dependency holds in the relation iff it holds in every returned
     evaluation.
     """
-    algebra = rel.similarity.algebra
     columns = _columns(rel, rel.scheme)
     n = len(rel.tuples)
-    return [
-        _pair_evaluation(rel, i, j, columns, Evaluation(algebra))
-        for i in range(n)
-        for j in range(n)
-    ]
+    return [_pair_evaluation(rel, i, j, columns) for i in range(n) for j in range(n)]
 
 
 # =====================================================================
@@ -462,10 +516,15 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
       divided by the largest |d| first and the length multiplied by it
       after.  A distance that is not finite (a difference or the scaled
       length beyond float range) is out of range, for scalars and vectors
-      alike.  The function carries a ``block(lefts, rights)`` kernel, which
-      the relation check calls on two :func:`_float_column` arrays: the
-      degrees of every pair of rows, bit for bit, or None where a distance
-      is not finite.  Columns with no such array (bools, strings, scalars
+      alike.  The function carries an ``exponents(lefts, rights)`` kernel,
+      which the relation check calls on two :func:`_float_column` arrays:
+      -10^-c times the distance of every pair of rows, by the same
+      operations, so ``math.exp`` of each is the degree bit for bit; None
+      where a distance is not finite.  The check screens the pairs with
+      ``np.exp`` of them: ``np.exp`` decides the pairs whose two sides a
+      proven error margin separates, and ``math.exp`` decides the rest, the
+      near ties, so degrees, verdicts and violations are bit for bit those
+      of the function.  Columns with no such array (bools, strings, scalars
       mixed with vectors, vectors of different lengths) are computed pair by
       pair.
     * ``equality``: the unit on equal values, the designated ``bottom``
@@ -478,14 +537,14 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
         if not isinstance(algebra, UnitIntervalPomonoid):
             raise InvalidRelationError("exp_euclidean needs a unit-interval algebra")
         c = params["c"]
-        number = isinstance(c, (int, float)) and not isinstance(c, bool)
+        if not isinstance(c, (int, float)) or isinstance(c, bool):
+            raise InvalidRelationError(f"exp_euclidean c must be an int or a float, got {c!r}")
         try:
-            scale = 10.0 ** (-float(c)) if number else math.nan
+            scale = 10.0 ** (-float(c))
         except OverflowError:
             scale = math.inf
         if not math.isfinite(scale):
-            raise InvalidRelationError(f"exp_euclidean scale 10^-c is not finite for c = {c!r} "
-                                       "(c must be an int or a float)")
+            raise InvalidRelationError(f"exp_euclidean scale 10^-c is not finite for c = {c!r}")
 
         def exp_fn(a, b):
             try:
@@ -512,10 +571,12 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
                     f"range: {a!r} vs {b!r}"
                 ) from None
 
-        def block(lefts, rights):
-            # exp_fn on every pair of rows of two _float_column arrays, by the
-            # same IEEE operations; None where a distance is not finite, as
-            # exp_fn raises there, so the pair path reports the first such pair
+        def exponents(lefts, rights):
+            # -scale * the distance of every pair of rows of two _float_column
+            # arrays, by exp_fn's IEEE operations, so math.exp of each is
+            # exp_fn's degree bit for bit; None where a distance is not
+            # finite, as exp_fn raises there, so the pair path reports the
+            # first such pair
             with np.errstate(over="ignore", invalid="ignore"):
                 if lefts.ndim == 1:
                     dist = np.abs(lefts[:, None] - rights)
@@ -527,12 +588,9 @@ def builtin_similarity(kind: str, algebra: Algebra, params: Mapping) -> Similari
                     dist = np.sqrt(total)
                 if not np.isfinite(dist).all():
                     return None
-                exponents = -scale * dist
-            # np.exp differs from math.exp in the last bit on some exponents
-            exps = map(math.exp, exponents.ravel().tolist())
-            return np.fromiter(exps, np.float64, exponents.size).reshape(dist.shape)
+                return -scale * dist
 
-        exp_fn.block = block
+        exp_fn.exponents = exponents
         return exp_fn
 
     if kind == "equality":

@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -548,6 +549,29 @@ class TestEvaluation:
         # unit-interval degrees are not checked: a Fraction is a degree there
         e = Evaluation(builtin_algebra("product"), {"p": Fraction(1, 3), "q": -1})
         assert e.assignment["q"] == -1
+
+    def test_degrees_cannot_bypass_the_check(self, bool2):
+        # -1 written after construction used to read as the last element
+        e = Evaluation(bool2, {"a": 1, "b": 0})
+        with pytest.raises(TypeError):
+            e.assignment["b"] = -1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.assignment = {"a": 1, "b": -1}
+        assert e.assignment == {"a": 1, "b": 0} and not satisfies(e, parse_mfd("a -> b"))
+        # the mapping given is copied, not kept
+        given = {"a": 1}
+        e = Evaluation(bool2, given)
+        given["a"] = -1
+        assert e.assignment == {"a": 1}
+
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, _pickled(2)],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_evaluations_copy_through_the_check(self, bool2, round_trip):
+        e = Evaluation(bool2, {"a": 1, "b": 0})
+        twin = round_trip(e)
+        assert twin == e and twin.assignment == {"a": 1, "b": 0}
+        with pytest.raises(TypeError):
+            twin.assignment["b"] = -1
 
     def test_degree_name(self, bool2):
         assert Evaluation(bool2, {"p": 0}).degree_name("p") == "0"

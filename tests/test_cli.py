@@ -1013,7 +1013,8 @@ class TestErrors:
         (EXP, "[[NaN, 1], [2, 1]]", "not finite"),
         # json reads 1e400 as inf, and inf - inf is NaN
         (EXP, "[[1e400, 1], [2, 1]]", "not finite"),
-        ('{"kind": "exp_euclidean", "c": "nan"}', "[[1, 1], [2, 1]]", "not finite"),
+        ('{"kind": "exp_euclidean", "c": "nan"}', "[[1, 1], [2, 1]]",
+         "exp_euclidean c must be an int or a float, got 'nan'"),
         ('{"kind": "exp_euclidean", "c": -400}', "[[1, 1], [2, 1]]", "not finite"),
         (EXP, f"[[{10**400}, 1], [2, 1]]", "within float range"),
         ('{"kind": "table", "labels": ["x"], "values": [[1]]}', '[[{"x": 1}, 1], ["x", 1]]',

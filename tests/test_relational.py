@@ -1,5 +1,7 @@
 """Ranked relations, similarity spaces, and the evaluation bridges."""
 
+import functools
+import itertools
 import json
 import math
 import random
@@ -323,8 +325,8 @@ class TestAgainstPairScan:
             outcomes |= self.check(rng, rel)
         assert outcomes == {True, False}
 
-    # an exp_euclidean column of n values, and whether the block kernel takes it
-    BLOCK_COLUMNS = {
+    # an exp_euclidean column of n values, and whether the exponents kernel takes it
+    KERNEL_COLUMNS = {
         "floats": (lambda r, n: [r.uniform(-5, 5) for _ in range(n)], True),
         "ints up to 2^53": (lambda r, n: [r.choice([1, -1]) * (2**53 - r.randint(0, 40))
                                           for _ in range(n)], True),
@@ -350,11 +352,15 @@ class TestAgainstPairScan:
             (r.choice([1e200, -1e200, 0.0]), r.uniform(0, 1)) for _ in range(n - 2)], False),
     }
 
-    @pytest.mark.parametrize("kind", sorted(BLOCK_COLUMNS))
-    def test_block_kernel_against_exp_fn(self, kind):
-        # the kernel gives exp_fn's matrix bit for bit, or None for the
-        # pair path; np.exp in place of math.exp fails on the float kinds
-        make, kernel = self.BLOCK_COLUMNS[kind]
+    @staticmethod
+    def exact_degrees(exponents):
+        return np.array([[math.exp(x) for x in row] for row in exponents.tolist()])
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_COLUMNS))
+    def test_exponents_kernel_against_exp_fn(self, kind):
+        # math.exp of the kernel's exponents is exp_fn's matrix bit for bit,
+        # or the kernel gives None for the pair path
+        make, kernel = self.KERNEL_COLUMNS[kind]
         rng = random.Random(f"block:{kind}")
         algebra = builtin_algebra("product")
         used = set()
@@ -371,12 +377,13 @@ class TestAgainstPairScan:
                 expected = None
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = None if floats is None else fn.block(floats, floats)
+                got = None if floats is None else fn.exponents(floats, floats)
                 tile = [rng.randrange(len(values)) for _ in range(3)]
-                part = None if floats is None else fn.block(floats[tile], floats)
+                part = None if floats is None else fn.exponents(floats[tile], floats)
             if got is not None:
-                assert got.dtype == expected.dtype and np.array_equal(got, expected)
-                assert np.array_equal(part, expected[tile])
+                assert got.dtype == part.dtype == expected.dtype == np.float64
+                assert self.exact_degrees(got).tobytes() == expected.tobytes()
+                assert self.exact_degrees(part).tobytes() == expected[tile].tobytes()
             used.add(got is not None)
             self.check(rng, rel)
         assert used == {kernel}
@@ -394,7 +401,7 @@ class TestAgainstPairScan:
         assert 0 < degree < 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fn.block(floats, floats) is None
+            assert fn.exponents(floats, floats) is None
             assert satisfies_relation(rel, F("v -> v v")) == (
                 False, RelationViolation(F("v -> v v"), 0, 1, degree, degree * degree))
 
@@ -515,6 +522,105 @@ class TestAgainstPairScan:
         assert peak < 4 * 2**20
 
 
+class TestScreen:
+    """The exp_euclidean screen: np.exp decides the pairs whose sides the
+    margin separates, math.exp the near ties, so verdicts and violations are
+    those of TestAgainstPairScan.first_violation, bit for bit, also when
+    the fast exponential is off by many ULP."""
+
+    KINDS = ["product", "min", "lukasiewicz"]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def cases(kind):
+        """(relation, formula, first violation) of near-tie relations: b is a
+        with some values moved by one ULP, v is b as vector2, e an equality
+        column; formula sides repeat attributes up to 64 times. Also the
+        kinds of near ties the exact degrees show off the diagonal."""
+        rng = random.Random(f"screen:{kind}")
+        algebra = builtin_algebra(kind)
+        cases, ties = [], set()
+        for _ in range(12):
+            fn = builtin_similarity("exp_euclidean", algebra, {"c": rng.choice([0, 1, 3])})
+            eq = builtin_similarity("equality", algebra, {"bottom": 0.5})
+            rows = []
+            for _ in range(rng.randint(2, 8)):
+                a = rng.choice([0, 0.5, 1.0, 2, 2.0, rng.uniform(0, 3)])
+                b = a if rng.random() < 0.4 else math.nextafter(a, rng.choice([-1, 4]))
+                rows.append((a, b, (b, 0.0), "x" if a < 1 else "y"))
+            rel = RankedRelation(("a", "b", "v", "e"), rows, SimilaritySpace(
+                algebra, {"a": fn, "b": fn, "v": fn, "e": eq}))
+            for _ in range(10):
+                k, m = rng.choice([1, 2, 3, 63, 64]), rng.choice([0, 1, 2])
+                x, y, z = rng.choice("abv"), rng.choice("abv"), rng.choice("abve")
+                f = F(" ".join([x] * k + [z] * m) + " -> " + " ".join([y] * k + [z] * m))
+                cases.append((rel, f, TestAgainstPairScan.first_violation(rel, f)))
+                for i, j in itertools.product(range(len(rel)), repeat=2):
+                    da = tuple_similarity(rel, i, j, f.antecedent)
+                    db = tuple_similarity(rel, i, j, f.consequent)
+                    if i != j and x != y:
+                        ties.add("equal" if da == db else
+                                 "one ULP" if abs(da - db) == math.ulp(max(da, db)) else None)
+        return cases, ties
+
+    @staticmethod
+    def agree(cases):
+        """How many cases satisfies_relation answers as the pair scan."""
+        return sum(satisfies_relation(rel, f) == (
+            (True, None) if expected is None else (False, RelationViolation(f, *expected)))
+            for rel, f, expected in cases)
+
+    @staticmethod
+    def perturb(monkeypatch):
+        """Make the fast exponential off by up to 64 ULP, at random."""
+        rng = np.random.default_rng(64)
+        calls = []
+
+        def off(x):
+            y = np.exp(x)
+            calls.append(y.size)
+            return y + rng.integers(-64, 65, y.shape) * np.spacing(y)
+
+        monkeypatch.setattr(relational, "_approx_exp", off)
+        return calls
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_near_ties(self, kind):
+        cases, ties = self.cases(kind)
+        assert {"equal", "one ULP"} <= ties
+        assert {expected is None for _, _, expected in cases} == {True, False}
+        assert self.agree(cases) == len(cases)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_fast_exponential_off_by_64_ulp(self, monkeypatch, kind):
+        cases, _ = self.cases(kind)
+        calls = self.perturb(monkeypatch)
+        assert self.agree(cases) == len(cases)
+        assert calls
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_margin_gets_near_ties_wrong(self, monkeypatch, kind):
+        # the control: without the margin the same perturbation changes answers
+        cases, _ = self.cases(kind)
+        self.perturb(monkeypatch)
+        monkeypatch.setattr(relational, "_SCREEN_MARGIN", 0.0)
+        assert self.agree(cases) < len(cases)
+
+    def test_finite_degrees_skip_the_screen(self, monkeypatch):
+        # equality and table degrees are exact: the fast exponential is not called
+        calls = self.perturb(monkeypatch)
+        rel = relation_from_json({
+            "algebra": "product", "scheme": ["a", "b"],
+            "similarity": {"a": {"kind": "equality", "bottom": 0.5},
+                           "b": {"kind": "table", "labels": ["x", "y"],
+                                 "values": [[1, 0.25], [0.25, 1]]}},
+            "tuples": [[1, "x"], [2, "y"], [1, "y"]]})
+        assert satisfies_relation(rel, F("a b -> b")) == (True, None)
+        assert satisfies_relation(rel, F("a -> b")) == (
+            False, RelationViolation(F("a -> b"), 0, 1, 0.5, 0.25))
+        assert not calls
+
+
 class TestJointScan:
     """relation_models on several formulas, which share one scan of the
     tiles, against TestAgainstPairScan.first_violation of each formula in
@@ -633,9 +739,9 @@ class TestJointScan:
         theory = parse_theory("a -> a\nb c -> b\nb -> a\na b c d -> d")
         assert self.agrees(rel, theory) == "holds"
 
-    @pytest.mark.parametrize("kernel", [True, False], ids=["block", "callable"])
+    @pytest.mark.parametrize("kernel", [True, False], ids=["exponents", "callable"])
     def test_each_attribute_tile_is_computed_once(self, kernel):
-        # three holding formulas read x: its block kernel runs once per
+        # three holding formulas read x: its exponents kernel runs once per
         # tile, and a plain callable once per distinct pair of (tile value,
         # column value) per tile
         n = 100
@@ -643,12 +749,12 @@ class TestJointScan:
         exp_fn = builtin_similarity("exp_euclidean", algebra, {"c": 0})
         calls = []
         if kernel:
-            block = exp_fn.block
+            exponents = exp_fn.exponents
 
             def x_fn(a, b):
                 return exp_fn(a, b)
 
-            x_fn.block = lambda lefts, rights: calls.append(len(lefts)) or block(lefts, rights)
+            x_fn.exponents = lambda lefts, rights: calls.append(len(lefts)) or exponents(lefts, rights)
         else:
             def x_fn(a, b):
                 calls.append(1)
@@ -784,11 +890,19 @@ class TestBuiltinSimilarity:
     @pytest.mark.parametrize("c", ["1", True, False, None, [1], "nan"])
     def test_exp_euclidean_c_is_an_int_or_a_float(self, c):
         # float() used to read "1" and true as 1.0
-        with pytest.raises(InvalidRelationError, match="c must be an int or a float"):
+        with pytest.raises(InvalidRelationError) as info:
             builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": c})
+        assert str(info.value) == f"exp_euclidean c must be an int or a float, got {c!r}"
         for number in (1, 1.0, np.float64(1)):
             fn = builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": number})
             assert fn(0, 10) == math.exp(-1)
+
+    @pytest.mark.parametrize("c", [-400, -math.inf, math.nan])
+    def test_exp_euclidean_scale_is_finite(self, c):
+        # a number whose scale 10^-c is not finite is told so, not its type
+        with pytest.raises(InvalidRelationError) as info:
+            builtin_similarity("exp_euclidean", builtin_algebra("product"), {"c": c})
+        assert str(info.value) == f"exp_euclidean scale 10^-c is not finite for c = {c!r}"
 
     def test_exp_euclidean_needs_real_degrees(self):
         with pytest.raises(InvalidRelationError):
