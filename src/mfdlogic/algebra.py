@@ -27,7 +27,7 @@ import types
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .formula import AttributeMultiset, Mfd, Theory
+from .formula import AttributeMultiset, Mfd, Theory, _as_int
 
 __all__ = [
     "Violation",
@@ -57,15 +57,6 @@ __all__ = [
 ENUMERATION_SIZE_CAP = 6
 # Completions with more downsets are refused; k incomparable elements have 2^k.
 _COMPLETION_CAP = 256
-
-
-def _as_int(value, name: str) -> int:
-    """``value`` as an int (an integer type such as ``numpy.int64`` too),
-    else TypeError; a bool is not a count."""
-    try:
-        return operator.index(None if isinstance(value, bool) else value)
-    except TypeError:
-        raise TypeError(f"{name} must be an int, not {type(value).__name__}") from None
 
 
 def _check_size(size: int, name: str = "max_size") -> int:
@@ -458,6 +449,7 @@ def _degree_text(algebra: Algebra, value) -> str:
 
 def elem_power(algebra: Algebra, a, n: int):
     """a multiplied with itself n times; the empty product is the unit."""
+    n = _as_int(n, "power")
     if n < 0:
         raise ValueError(f"power must be non-negative, got {n}")
     acc = algebra.unit

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import sys
 from typing import Callable, Optional, Sequence
@@ -30,7 +31,6 @@ from . import algebra as alg
 from . import entail, proofs, relational
 from .member import ContractingTheoryError, member_trace
 from .formula import (
-    AttributeMultiset,
     Mfd,
     MultiplicityOverflowError,
     TheoryParseError,
@@ -143,25 +143,46 @@ def _evaluation_to_json(e: alg.Evaluation) -> dict:
     return {attr: e.degree_name(attr) for attr in sorted(e.assignment)}
 
 
+def _write_proved_json(v: entail.Proved, write: Callable[[str], object]) -> None:
+    """Send the JSON document of a proved verdict and a newline to
+    ``write``, piece by piece, as ``json.dumps(doc, indent=2)`` would spell
+    it.  This writer defines the proved layout: ``mfd decide --json``
+    streams it, ``verdict_to_json`` reads it back.  No path text and no
+    certificate is ever one string, and the certificate goes out escaped
+    as ``proofs._write_proof`` spells it."""
+    # a multiset's JSON string body is json.dumps(text)[1:-1]: JSON escapes
+    # a string character by character, so that is the runs of the escaped
+    # names, each name escaped once
+    escaped = functools.lru_cache(maxsize=None)(lambda name: json.dumps(name)[1:-1])
+
+    def text(m) -> str:
+        return _format_runs((escaped(name), mult) for name, mult in m.items())
+
+    @functools.lru_cache(maxsize=None)  # every step names a rule of the theory
+    def formula(f: Mfd) -> str:
+        return f"{text(f.antecedent)} -> {text(f.consequent)}"
+
+    write(f'{{\n  "verdict": "proved",\n  "query": "{formula(v.query)}",\n  "path": {{\n'
+          f'    "start": "{text(v.path.start)}",\n    "steps": [')
+    separator = "\n"
+    for s in v.path.steps:
+        write(f'{separator}      {{\n        "rule": "{formula(s.rule)}",\n'
+              f'        "remainder": "{text(s.remainder)}",\n'
+              f'        "result": "{text(s.result)}"\n      }}')
+        separator = ",\n"
+    write(('\n    ]' if v.path.steps else ']') + '\n  },\n  "certificate": "')
+    proofs._write_proof(v.certificate, write, text, '\\"')
+    write('"\n}\n')
+
+
 def verdict_to_json(v: entail.Verdict) -> dict:
-    """Structural JSON form of a verdict; inverse of verdict_from_json."""
+    """Structural JSON form of a verdict; inverse of verdict_from_json.
+    A proved verdict's document is read back from ``_write_proved_json``,
+    the writer ``mfd decide --json`` streams, so the two share one layout."""
     if isinstance(v, entail.Proved):
-        return {
-            "verdict": "proved",
-            "query": format_mfd(v.query),
-            "path": {
-                "start": format_multiset(v.path.start),
-                "steps": [
-                    {
-                        "rule": format_mfd(s.rule),
-                        "remainder": format_multiset(s.remainder),
-                        "result": format_multiset(s.result),
-                    }
-                    for s in v.path.steps
-                ],
-            },
-            "certificate": proofs.format_proof(v.certificate),
-        }
+        out = io.StringIO()
+        _write_proved_json(v, out.write)
+        return json.loads(out.getvalue())
     if isinstance(v, entail.Refuted):
         doc = {"verdict": "refuted", "query": format_mfd(v.query), "method": v.method}
         if v.algebra is not None:
@@ -232,43 +253,9 @@ def _print_json(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _json_texts() -> Callable[[AttributeMultiset], str]:
-    """``format_multiset`` as a JSON string body, ``json.dumps(text)[1:-1]``:
-    JSON escapes a string character by character, so that is the runs of the
-    escaped names, each name escaped once.  ``proofs._write_proof`` spells a
-    repeated multiset once."""
-    escaped = functools.lru_cache(maxsize=None)(lambda name: json.dumps(name)[1:-1])
-    return lambda m: _format_runs((escaped(name), mult) for name, mult in m.items())
-
-
-def _print_proved_json(v: entail.Proved) -> None:
-    """Print ``json.dumps(verdict_to_json(v), indent=2)`` and a newline,
-    piece by piece: no path text and no certificate is ever one string,
-    and the certificate goes out escaped as ``proofs._write_proof`` spells
-    it."""
-    write = sys.stdout.write
-    text = _json_texts()
-
-    @functools.lru_cache(maxsize=None)  # every step names a rule of the theory
-    def formula(f: Mfd) -> str:
-        return f"{text(f.antecedent)} -> {text(f.consequent)}"
-
-    write(f'{{\n  "verdict": "proved",\n  "query": "{formula(v.query)}",\n  "path": {{\n'
-          f'    "start": "{text(v.path.start)}",\n    "steps": [')
-    separator = "\n"
-    for s in v.path.steps:
-        write(f'{separator}      {{\n        "rule": "{formula(s.rule)}",\n'
-              f'        "remainder": "{text(s.remainder)}",\n'
-              f'        "result": "{text(s.result)}"\n      }}')
-        separator = ",\n"
-    write(('\n    ]' if v.path.steps else ']') + '\n  },\n  "certificate": "')
-    proofs._write_proof(v.certificate, write, text, '\\"')
-    write('"\n}\n')
-
-
 def _print_verdict(v: entail.Verdict, as_json: bool) -> int:
     if as_json and isinstance(v, entail.Proved):
-        _print_proved_json(v)
+        _write_proved_json(v, sys.stdout.write)
     elif as_json:
         _print_json(verdict_to_json(v))
     elif isinstance(v, entail.Proved):

@@ -41,7 +41,6 @@ import numpy as np
 from .algebra import (
     Evaluation,
     FinitePomonoid,
-    _as_int,
     _check_size,
     enumerate_pomonoids,
     is_model,
@@ -53,6 +52,7 @@ from .formula import (
     Mfd,
     Theory,
     _CountVectors,
+    _as_int,
     _pack,
     divides,
     format_mfd,

@@ -67,6 +67,15 @@ class TheoryParseError(ValueError):
 # =====================================================================
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int (an integer type such as ``numpy.int64`` too),
+    else TypeError; a bool is not a count."""
+    try:
+        return operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}") from None
+
+
 def _capped(name: str, total: int) -> int:
     """A multiplicity of ``name``, if it is within MULTIPLICITY_CAP."""
     if total > MULTIPLICITY_CAP:
@@ -161,6 +170,7 @@ class AttributeMultiset:
 
     def power(self, n: int) -> "AttributeMultiset":
         """The n-fold union of this multiset with itself; power 0 is TOP."""
+        n = _as_int(n, "power")
         if n < 0:
             raise ValueError(f"power must be non-negative, got {n}")
         counts = {name: _capped(name, mult * n) for name, mult in self._counts.items() if n}

@@ -501,6 +501,10 @@ class TestEvaluation:
         assert elem_power(a, 0.5, 0) == 1.0
         with pytest.raises(ValueError):
             elem_power(a, 0.5, -1)
+        for n in (1.5, 2.0, True):
+            with pytest.raises(TypeError, match="power must be an int"):
+                elem_power(a, 0.5, n)
+        assert elem_power(a, 0.5, np.int64(3)) == pytest.approx(0.125)
         nl = nonlinear_algebra
         b = nl.index_of("b")
         assert elem_power(nl, b, 2) == b

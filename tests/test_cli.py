@@ -635,6 +635,8 @@ class TestStreamedJson:
                 theory = parse_theory(pathlib.Path(argv[1]).read_text())
                 verdict = decide(theory, parse_mfd(argv[2]), Budgets(2000, 20000, 3))
                 assert out == json.dumps(verdict_to_json(verdict), indent=2) + "\n", argv
+                if isinstance(verdict, Proved):
+                    assert verdict_from_json(json.loads(out)) == verdict, argv
                 if pathlib.Path(argv[1]).parent == tmp_path:
                     assert code == EXIT_PROVED, argv
                     long_steps.append(len(verdict.path))
@@ -653,8 +655,58 @@ class TestStreamedJson:
         assert isinstance(verdict, Proved) and len(verdict.path) >= 3
         text = json.dumps(verdict_to_json(verdict), indent=2) + "\n"
         assert all(json.dumps(name)[1:-1] in text for name, _ in runs)
-        cli._print_proved_json(verdict)
+        cli._write_proved_json(verdict, sys.stdout.write)
         assert capsys.readouterr().out == text
+        doc = json.loads(text)
+        assert (doc["query"], doc["certificate"]) == (format_mfd(query),
+                                                      format_proof(verdict.certificate))
+        assert [s["result"] for s in doc["path"]["steps"]] == [
+            formula.format_multiset(s.result) for s in verdict.path.steps]
+
+    # the proved layout, pinned apart from the one writer that makes it: a
+    # 2-step path and an empty one
+    PINNED = {
+        "p p -> q r": r"""{
+  "verdict": "proved",
+  "query": "p p -> q r",
+  "path": {
+    "start": "p p",
+    "steps": [
+      {
+        "rule": "p -> q",
+        "remainder": "p",
+        "result": "p q"
+      },
+      {
+        "rule": "p -> r",
+        "remainder": "q",
+        "result": "q r"
+      }
+    ]
+  },
+  "certificate": "(cut (cut (cut (ax \"1\" \"p p\") (cut (hyp \"p -> q\") (ax \"1\" \"p q\") \"p p -> p q\") \"p p -> p q\") (cut (hyp \"p -> r\") (ax \"1\" \"q r\") \"p q -> q r\") \"p p -> q r\") (ax \"1\" \"q r\") \"p p -> q r\")"
+}
+""",
+        "p q -> p": r"""{
+  "verdict": "proved",
+  "query": "p q -> p",
+  "path": {
+    "start": "p q",
+    "steps": []
+  },
+  "certificate": "(cut (ax \"1\" \"p q\") (ax \"q\" \"p\") \"p q -> p\")"
+}
+""",
+    }
+
+    @pytest.mark.parametrize("query", sorted(PINNED))
+    def test_proved_document_is_pinned(self, run, data_dir, query):
+        theory = data_dir / "no_additivity.theory"
+        code, out, _ = run("decide", str(theory), query, "--json")
+        assert (code, out) == (EXIT_PROVED, self.PINNED[query])
+        verdict = decide(parse_theory(theory.read_text()), parse_mfd(query))
+        assert verdict_to_json(verdict) == json.loads(out)
+        assert verdict_from_json(json.loads(out)) == verdict
 
     def test_long_certificate_is_not_held_whole(self, tmp_path):
         n = 800
@@ -674,6 +726,7 @@ class TestStreamedJson:
         text = json.dumps(verdict_to_json(verdict), indent=2) + "\n"
         assert (sink.length, sink.digest.hexdigest()) == (
             len(text), hashlib.sha256(text.encode()).hexdigest())
+        assert verdict_from_json(json.loads(text)) == verdict
         # a 9.1 MB document: about 2.2 MiB streamed, 29.4 MB printed from json.dumps
         assert peak < 2.5 * 2**20, peak
 
@@ -747,7 +800,7 @@ class TestValueKeyedTexts:
 
     def test_json_writer(self, capsys):
         verdict = self.rebuilt(120)
-        cli._print_proved_json(verdict)
+        cli._write_proved_json(verdict, sys.stdout.write)
         assert capsys.readouterr().out == json.dumps(verdict_to_json(verdict), indent=2) + "\n"
 
     def test_text_writer(self, capsys):

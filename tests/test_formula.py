@@ -6,6 +6,7 @@ import pickle
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -134,6 +135,18 @@ class TestMultisetAlgebra:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             singleton("p").power(-1)
+
+    def test_power_takes_only_a_count(self):
+        # a float, a bool or a numpy int would make multiplicities the
+        # constructor refuses
+        m = AttributeMultiset({"p": 2, "q": 1})
+        for n in (1.5, 2.0, True, "2"):
+            with pytest.raises(TypeError, match="power must be an int"):
+                m.power(n)
+        squared = m.power(np.int64(2))
+        assert squared == m.power(2) == m.union(m)
+        assert all(type(mult) is int for _, mult in squared.items())
+        assert format_multiset(squared) == "p p p p q q"
 
     @given(multisets, multisets)
     def test_divides_inverts_union(self, e, x):
