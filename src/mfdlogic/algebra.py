@@ -113,7 +113,7 @@ def _square(label: str, table, n: int, entry=operator.index) -> Tuple[tuple, ...
 
 # Enumerated algebras are shared, so algebras are frozen; they have no slots
 # for the reason given above formula.Mfd.  Copies and pickles rebuild through
-# __reduce__, so they pass __post_init__'s checks and drop the numpy tables.
+# __reduce__, so they pass __post_init__'s checks and drop the flat tables.
 
 
 @dataclass(frozen=True, repr=False)
@@ -131,7 +131,6 @@ class FinitePomonoid:
     unit: int
     leq_table: Sequence[Sequence[bool]]
     times_table: Sequence[Sequence[int]]
-    _np: Optional[tuple] = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.element_names, str):
@@ -151,7 +150,7 @@ class FinitePomonoid:
         object.__setattr__(self, "times_table", _square("times", self.times_table, n))
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def size(self) -> int:
@@ -181,16 +180,14 @@ class FinitePomonoid:
             for b in range(a + 1, n)
         )
 
-    def np_tables(self):
-        """(times, leq) as numpy arrays, cached; used by vectorized sweeps."""
-        if self._np is None:
-            import numpy as np
+    @functools.cached_property
+    def flat_tables(self):
+        """(times, leq) as flat numpy arrays, built on first use: the entry
+        for a and b is at ``a * size + b``.  Used by the vectorized scans."""
+        import numpy as np
 
-            object.__setattr__(self, "_np", (
-                np.array(self.times_table, dtype=np.int64),
-                np.array(self.leq_table, dtype=bool),
-            ))
-        return self._np
+        times = np.array(self.times_table, dtype=np.int64)
+        return times.ravel(), np.array(self.leq_table, dtype=bool).ravel()
 
     def canonical_form(self) -> Tuple[Tuple[bool, ...], Tuple[int, ...]]:
         """Relabeling-invariant fingerprint: minimal (leq, times) over all

@@ -395,7 +395,7 @@ def _sweep_algebra(
     end = min(s**k, start + limit)
     if s == 1:
         return None, end - start  # its one evaluation models every formula
-    times, leq = (table.ravel() for table in algebra.np_tables())
+    times, leq = algebra.flat_tables
     m = _tile_digits(s, k)
     tile = s**m
     low = _tile_columns(s, m)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
@@ -381,28 +382,27 @@ _RESERVED = ("1", "top")
 
 
 def _parse_side(text: str, line_no: int, col_offset: int) -> AttributeMultiset:
-    tokens = []
-    for match in re.finditer(r"\S+", text):
-        tokens.append((match.group(), col_offset + match.start() + 1))
-    if not tokens:
+    # A long certificate spells out n-fold multiplicities, so the words are
+    # counted once and each distinct name is checked once, in order of first
+    # occurrence: the first bad name is the first bad token.  str.split()
+    # splits where re's \s matches, so its words are the \S+ tokens.
+    counts = Counter(text.split())
+    if not counts:
         raise TheoryParseError("empty side of dependency", line_no, col_offset + 1)
-    if any(tok in _RESERVED for tok, _ in tokens):
-        if len(tokens) > 1:
-            bad = next(col for tok, col in tokens if tok in _RESERVED)
-            raise TheoryParseError(
-                "unit symbol cannot be combined with attributes", line_no, bad
-            )
-        return TOP
-    counts: Dict[str, int] = {}
-    for tok, col in tokens:
-        if tok.startswith("_"):
-            raise TheoryParseError(
-                f"attribute {tok!r} is reserved (leading underscore)", line_no, col
-            )
-        if not _IDENT_RE.match(tok):
-            raise TheoryParseError(f"invalid attribute name {tok!r}", line_no, col)
-        counts[tok] = counts.get(tok, 0) + 1
-    return _shared_side(tuple(sorted(counts.items())), MULTIPLICITY_CAP)
+    if "1" in counts or "top" in counts:
+        if sum(counts.values()) == 1:
+            return TOP
+        bad = next(tok for tok in counts if tok in _RESERVED)
+        message = "unit symbol cannot be combined with attributes"
+    elif all(map(_IDENT_RE.match, counts)):
+        return _shared_side(tuple(sorted(counts.items())), MULTIPLICITY_CAP)
+    else:
+        bad = next(tok for tok in counts if not _IDENT_RE.match(tok))
+        message = (f"attribute {bad!r} is reserved (leading underscore)" if bad.startswith("_")
+                   else f"invalid attribute name {bad!r}")
+    # only an error needs a column: the first occurrence of the bad word
+    column = next(m.start() for m in re.finditer(r"\S+", text) if m.group() == bad)
+    raise TheoryParseError(message, line_no, col_offset + column + 1)
 
 
 @lru_cache(maxsize=4096)

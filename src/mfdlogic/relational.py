@@ -225,7 +225,7 @@ def _batched(algebra: Algebra):
     algebra's are read from its flat tables at ``a * size + b``."""
     if isinstance(algebra, FinitePomonoid):
         s = algebra.size
-        times_table, leq_table = (table.ravel() for table in algebra.np_tables())
+        times_table, leq_table = algebra.flat_tables
         return np.intp, (lambda a, b: times_table[a * s + b]), (lambda a, b: leq_table[a * s + b])
     if algebra.kind == "product":
         return np.float64, np.multiply, np.less_equal
@@ -379,7 +379,8 @@ def relation_models(
     Returns (True, None), or (False, the first violation) with both
     aggregated degrees: formulas in first-occurrence order, pairs row-major.
     Rows are checked in tiles of about ``_TILE_PAIRS`` pairs, so memory
-    stays bounded at any size, and each column is coded once per call.
+    stays bounded at any size, and each column is coded once per call,
+    the first time a tile reads it.
 
     One loop over the tiles serves every formula: in each tile, each
     attribute's degrees are computed once, and every formula still live
@@ -404,10 +405,6 @@ def relation_models(
             outcome = None, exc
             break
     coded: dict = {}
-    for _, columns in live:
-        for attr, pos in columns:
-            if attr not in coded:
-                coded[attr] = _code_column(rel, pos)
     n = len(rel.tuples)
     step = max(1, _TILE_PAIRS // max(n, 1))
     for start in range(0, n, step):
@@ -416,8 +413,10 @@ def relation_models(
         rows = range(start, min(n, start + step))
         tiles: Dict[str, Optional[Tuple[np.ndarray, Optional[Callable]]]] = {}
         for k, (f, columns) in enumerate(live):
-            for attr, _ in columns:
+            for attr, pos in columns:
                 if attr not in tiles:
+                    if attr not in coded:
+                        coded[attr] = _code_column(rel, pos)
                     tiles[attr] = _degree_tile(rel, attr, coded[attr], batched[0], rows)
             try:
                 failure = _tile_failure(rel, f, columns, batched, tiles, rows)

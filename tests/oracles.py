@@ -7,9 +7,11 @@ Keeping them separate from the package under test is the point.
 """
 
 import itertools
+import re
 from collections import Counter, deque
 
-from mfdlogic import Evaluation, FinitePomonoid, is_model, satisfies
+from mfdlogic import TOP, AttributeMultiset, Evaluation, FinitePomonoid, TheoryParseError
+from mfdlogic import is_model, satisfies
 
 # =====================================================================
 # Exhaustive model checking over small algebras
@@ -324,3 +326,34 @@ def classical_closure(fds, start):
                 closure |= rhs
                 changed = True
     return closure
+
+
+# =====================================================================
+# Token-by-token parsing of one side of a dependency
+# =====================================================================
+
+
+_TOKEN = re.compile(r"\S+")
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+
+
+def parse_side(text, line_no, col_offset):
+    """One side in the theory grammar, read token by token: each \\S+ match
+    with its 1-based column, each checked where it stands.  Returns the
+    multiset or raises the TheoryParseError of the first bad token."""
+    tokens = [(m.group(), col_offset + m.start() + 1) for m in _TOKEN.finditer(text)]
+    if not tokens:
+        raise TheoryParseError("empty side of dependency", line_no, col_offset + 1)
+    if any(tok in ("1", "top") for tok, _ in tokens):
+        if len(tokens) > 1:
+            bad = next(col for tok, col in tokens if tok in ("1", "top"))
+            raise TheoryParseError("unit symbol cannot be combined with attributes", line_no, bad)
+        return TOP
+    counts = Counter()
+    for tok, col in tokens:
+        if tok.startswith("_"):
+            raise TheoryParseError(f"attribute {tok!r} is reserved (leading underscore)", line_no, col)
+        if not _NAME.match(tok):
+            raise TheoryParseError(f"invalid attribute name {tok!r}", line_no, col)
+        counts[tok] += 1
+    return AttributeMultiset(counts)

@@ -196,10 +196,18 @@ class TestFinitePomonoid:
         with pytest.raises(ValueError):
             bool2.index_of("2")
 
-    def test_np_tables_match(self, bool2):
-        times, leq = bool2.np_tables()
-        assert times.tolist() == [list(r) for r in bool2.times_table]
-        assert leq.tolist() == [list(r) for r in bool2.leq_table]
+    def test_flat_tables_match(self, nonlinear_algebra):
+        lattice, _ = downset_completion(nonlinear_algebra)
+        for algebra in [*enumerate_pomonoids(4), lattice]:
+            times, leq = algebra.flat_tables
+            n = algebra.size
+            assert times.shape == leq.shape == (n * n,) and leq.dtype == bool
+            for a, b in itertools.product(algebra.elements(), repeat=2):
+                assert times[a * n + b] == algebra.times(a, b)
+                assert leq[a * n + b] == algebra.leq_holds(a, b)
+            # built once: a second access returns the same arrays
+            again = algebra.flat_tables
+            assert again[0] is times and again[1] is leq
 
     def test_construction_errors(self):
         with pytest.raises(ValueError):
@@ -274,7 +282,7 @@ class TestFinitePomonoid:
     def test_set_slots_cannot_be_rebound(self):
         before = list(enumerate_pomonoids(3))
         shared = before[2]
-        for name, value in (("unit", 0), ("times_table", ()), ("_np", None), ("size", 1)):
+        for name, value in (("unit", 0), ("times_table", ()), ("flat_tables", None), ("size", 1)):
             with pytest.raises(AttributeError):
                 setattr(shared, name, value)
         assert list(enumerate_pomonoids(3)) == before
@@ -283,7 +291,7 @@ class TestFinitePomonoid:
         tables = lambda: [(a.unit, a.leq_table, a.times_table) for a in enumerate_pomonoids(3)]
         before = tables()
         shared = list(enumerate_pomonoids(3))[2]
-        for name in ("unit", "leq_table", "times_table", "element_names", "_np"):
+        for name in ("unit", "leq_table", "times_table", "element_names", "flat_tables"):
             with pytest.raises(AttributeError):
                 delattr(shared, name)
         with pytest.raises(AttributeError):
@@ -302,13 +310,14 @@ class TestFinitePomonoid:
                   nonlinear_algebra, lattice, UnitIntervalPomonoid("min"))
         for value in values:
             if isinstance(value, FinitePomonoid):
-                value.np_tables()
+                value.flat_tables
             twin = round_trip(value)
             assert type(twin) is type(value) and twin is not value
             assert twin == value and hash(twin) == hash(value)
             if isinstance(value, FinitePomonoid):
                 assert algebra_to_json(twin) == algebra_to_json(value)
-                assert twin.np_tables()[0].tolist() == [list(r) for r in value.times_table]
+                assert "flat_tables" not in vars(twin)
+                assert twin.flat_tables[0].tolist() == [v for r in value.times_table for v in r]
 
     def test_lattice_is_not_its_reduct(self, bool2):
         lattice, _ = downset_completion(bool2)
@@ -364,7 +373,7 @@ class TestFinitePomonoid:
             head = (value.element_names, value.unit, value.leq_table, value.times_table)
             assert value.__reduce__() == (type(value), head + rest)
             before = pickle.dumps(value)
-            value.np_tables()
+            value.flat_tables
             assert len(pickle.dumps(value)) == len(before)
         assert UnitIntervalPomonoid("min").__reduce__() == (UnitIntervalPomonoid, ("min",))
 

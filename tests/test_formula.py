@@ -2,9 +2,13 @@
 
 import copy
 import dataclasses
+import operator
 import pickle
 import random
+import re
+import sys
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -33,6 +37,8 @@ from mfdlogic import (
     singleton,
 )
 from mfdlogic import formula
+
+import oracles
 
 names = st.sampled_from(("p", "q", "r", "s"))
 multisets = st.dictionaries(names, st.integers(1, 3), max_size=4).map(AttributeMultiset)
@@ -418,6 +424,69 @@ class TestParsing:
     def test_parse_mfd_rejects_blank(self):
         with pytest.raises(TheoryParseError):
             parse_mfd("   # nothing here")
+
+
+class TestParserAgainstTokenScan:
+    """``formula._parse_side`` counts a side's words once and checks each
+    distinct name once; ``oracles.parse_side`` reads the side token by
+    token, each with its column.  Both must give the same multiset, or the
+    same error at the same line and column."""
+
+    # names, then the unit spellings and reserved and invalid words (U+00A0
+    # is whitespace, U+200B is not); an empty gap glues two words into one
+    WORDS = ("a", "b", "ab", "x_1", "Z9", "topx", "one", "p", "Top",
+             "1", "top", "_x", "_", "9z", "a-b", "\u00e9", "a\u00e9", "b\u200bc", "-", "1a")
+    WEIGHTS = (9,) * 9 + (1,) * 11
+    GAPS = ("", " ", "  ", "\t", "\x1c", "\u3000", "\n", "\x85", "\xa0", "\u2028", "\x0b", "\r\n")
+
+    @staticmethod
+    def outcome(parse, *args):
+        try:
+            return parse(*args)
+        except TheoryParseError as exc:
+            return ("error", str(exc), exc.line, exc.column)
+
+    def sides(self, rng, count):
+        words = iter(rng.choices(self.WORDS, self.WEIGHTS, k=5 * count))
+        gaps = iter(rng.choices(self.GAPS, k=6 * count))
+        for k in rng.choices(range(6), k=count):
+            yield "".join(map(operator.add, islice(gaps, k), islice(words, k))) + next(gaps)
+
+    def test_sides_match_the_token_scan(self):
+        rng = random.Random(20261022)
+        lines, offsets = rng.choices(range(1, 9), k=100_000), rng.choices(range(40), k=100_000)
+        errors = 0
+        for text, line, offset in zip(self.sides(rng, 100_000), lines, offsets):
+            got = self.outcome(formula._parse_side, text, line, offset)
+            assert got == self.outcome(oracles.parse_side, text, line, offset), text
+            errors += isinstance(got, tuple)
+        assert 20_000 < errors < 80_000  # both outcomes are well covered
+
+    def test_right_hand_sides_match_the_token_scan(self):
+        rng = random.Random(7)
+        for rhs in self.sides(rng, 20_000):
+            # a valid left-hand side, so any error is the right-hand side's
+            lhs = rng.choice(("p", " p q\t", "\u3000a a ", "1"))
+            want = self.outcome(oracles.parse_side, rhs, 1, len(lhs) + 2)
+            if not isinstance(want, tuple):
+                want = Mfd(oracles.parse_side(lhs, 1, 0), want)
+            assert self.outcome(parse_mfd, lhs + "->" + rhs) == want, rhs
+
+    def test_first_bad_token_wins_over_sorted_order(self):
+        # "b-a" comes first on the line but "9z" sorts first
+        with pytest.raises(TheoryParseError, match="^line 1, column 8: invalid attribute name 'b-a'$"):
+            parse_mfd("p p -> b-a 9z b-a")
+        with pytest.raises(TheoryParseError) as exc:
+            parse_multiset("zz _q zz\u3000_a")
+        assert (str(exc.value), exc.value.column) == (
+            "line 1, column 4: attribute '_q' is reserved (leading underscore)", 4)
+
+    def test_split_and_regex_whitespace_agree(self):
+        # str.split() splits the parser's words; the token scan used \S+
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == list(filter(str.isspace, every))
+        spaced = "x".join(every)
+        assert spaced.split() == re.findall(r"\S+", spaced)
 
 
 class TestFormatting:

@@ -739,6 +739,20 @@ class TestJointScan:
         theory = parse_theory("a -> a\nb c -> b\nb -> a\na b c d -> d")
         assert self.agrees(rel, theory) == "holds"
 
+    def test_columns_are_coded_on_first_read(self, monkeypatch):
+        # c -> a fails in the first tile, so the formulas after it are
+        # dropped before any tile reads b or d, and those are never coded
+        rel = self.relation()
+        coded = []
+        code_column = relational._code_column
+        monkeypatch.setattr(relational, "_code_column",
+                            lambda rel, pos: coded.append(rel.scheme[pos]) or code_column(rel, pos))
+        theory = parse_theory("c -> a\na b -> d\nd -> b")
+        ok, v = relation_models(rel, theory)
+        assert (ok, v.formula, v.i, v.j) == (False, F("c -> a"), 0, 1)
+        assert sorted(coded) == ["a", "c"]
+        assert self.agrees(rel, theory) == "fails"
+
     @pytest.mark.parametrize("kernel", [True, False], ids=["exponents", "callable"])
     def test_each_attribute_tile_is_computed_once(self, kernel):
         # three holding formulas read x: its exponents kernel runs once per
